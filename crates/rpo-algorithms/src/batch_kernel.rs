@@ -67,31 +67,20 @@
 //! `(1 − block)^q` accumulation are reproduced operation for operation, so
 //! the recovered mappings are identical to the per-instance kernel's.
 //!
-//! # Register-blocked fold: verdict
+//! # Register-blocked fold
 //!
-//! Two inner sweeps are implemented ([`BatchInner`]): the straight
-//! **lockstep** sweep (boundary-outer: for each admissible start `j`, one
-//! pass over its state window) and a **register-blocked** fold — the PR 3
-//! experiment retried inside the SoA layout, where it finally pays off.
-//! The fold is chunk-outer/boundary-inner: a block of [`WIDE_BLOCK`]
-//! lane-wide state accumulators is loaded into vector registers once,
-//! *every* `(j, q)` candidate of the row is folded into the block, and it
-//! is stored once; per boundary, the `WIDE_BLOCK + 2` distinct predecessor
-//! windows are also loaded once and shared across all `(state, q)`
-//! combinations, so each candidate costs roughly one multiply and one max
-//! from registers instead of three memory operations. Out-of-window
-//! candidates read `−∞` sentinels and lose naturally, and the replication
-//! cap is monomorphized for the paper-scale `K ≤ 3` so the level loop
-//! fully unrolls. Measured on the `BENCH_kernel.json` workload (512
-//! homogeneous instances, n=100, p=20, single-core AVX-512 host), the
-//! blocked fold's update phase runs the same candidate set ~3.5× faster
-//! than the lockstep sweep (10.9 ms vs 37.9 ms per pass; whole batch
-//! 21.7 ms vs 48.1 ms) — inside the SoA layout the per-boundary bounds
-//! checks that killed the PR 3 attempt are amortized across eight lanes,
-//! and register-resident accumulators eliminate the sweep's dominant
-//! load/store traffic. The blocked fold is therefore the default; the
-//! lockstep sweep is kept behind [`BatchInner::Lockstep`] as the simpler
-//! reference implementation and differential-test ballast.
+//! The inner max-update is a register-blocked fold, chunk-outer and
+//! boundary-inner: a block of [`WIDE_BLOCK`] lane-wide state accumulators
+//! is loaded into vector registers once, *every* `(j, q)` candidate of the
+//! row is folded into the block, and it is stored once; per boundary, the
+//! `WIDE_BLOCK + 2` distinct predecessor windows are also loaded once and
+//! shared across all `(state, q)` combinations, so each candidate costs
+//! roughly one multiply and one max from registers instead of three memory
+//! operations. Out-of-window candidates read `−∞` sentinels and lose
+//! naturally, and the replication cap is monomorphized for the paper-scale
+//! `K ≤ 3` so the level loop fully unrolls. The differential reference is
+//! the per-instance kernel ([`crate::reliability_dp_with_kernel`]), which
+//! every lane must reproduce bit for bit.
 
 use rpo_model::{Interval, IntervalOracle, MappedInterval, Mapping, Platform, TaskChain};
 
@@ -110,20 +99,6 @@ pub struct BatchLane<'a> {
     pub platform: &'a Platform,
     /// Worst-case period bound (Algorithm 2), or `None` for Algorithm 1.
     pub period_bound: Option<f64>,
-}
-
-/// Which inner max-update sweep the batch kernel runs; see the
-/// [module docs](self) for the measured verdict.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BatchInner {
-    /// Boundary-outer lockstep sweep (simple reference implementation and
-    /// differential-test ballast).
-    Lockstep,
-    /// Chunk-outer/boundary-inner register-blocked fold with wide
-    /// register-resident accumulator blocks (the default: ~2.2× faster
-    /// end to end on the reference stream).
-    #[default]
-    Blocked,
 }
 
 /// Reusable lane-major arenas of the batched DP: the SoA growth of
@@ -185,19 +160,9 @@ pub fn solve_batch(
     lanes: &[BatchLane<'_>],
     scratch: &mut BatchScratch,
 ) -> Vec<Option<OptimalMapping>> {
-    solve_batch_with_inner(lanes, BatchInner::default(), scratch)
-}
-
-/// [`solve_batch`] with an explicit inner-sweep choice (the measurement and
-/// equivalence-testing entry point; see [`BatchInner`]).
-pub fn solve_batch_with_inner(
-    lanes: &[BatchLane<'_>],
-    inner: BatchInner,
-    scratch: &mut BatchScratch,
-) -> Vec<Option<OptimalMapping>> {
     let mut out = Vec::with_capacity(lanes.len());
     for chunk in lanes.chunks(LANES) {
-        solve_chunk(chunk, inner, scratch, &mut out);
+        solve_chunk(chunk, scratch, &mut out);
     }
     out
 }
@@ -205,7 +170,6 @@ pub fn solve_batch_with_inner(
 /// One lockstep chunk of at most [`LANES`] instances.
 fn solve_chunk(
     chunk: &[BatchLane<'_>],
-    inner: BatchInner,
     scratch: &mut BatchScratch,
     out: &mut Vec<Option<OptimalMapping>>,
 ) {
@@ -377,27 +341,7 @@ fn solve_chunk(
         // Max-update: predecessor rows all live before row i in the arena.
         let (done, rest) = scratch.f.split_at_mut(i * stride * LANES);
         let row_i = &mut rest[..stride * LANES];
-        match inner {
-            BatchInner::Lockstep => {
-                for (&j, jrels) in scratch
-                    .adm
-                    .iter()
-                    .zip(scratch.rels.chunks_exact(k_max * LANES))
-                {
-                    let j = j as usize;
-                    let row_j = &done[j * stride * LANES..(j + 1) * stride * LANES];
-                    // The same shape-only state window as the per-instance
-                    // kernel: j tasks occupy between 1 (j > 0) and min(p, j·K)
-                    // processors.
-                    let min_prev = usize::from(j > 0);
-                    let max_prev = (j * k_max).min(p);
-                    lockstep_update(row_j, row_i, min_prev + 1, (max_prev + k_max).min(p), jrels);
-                }
-            }
-            BatchInner::Blocked => {
-                blocked_update(done, row_i, &scratch.adm, &scratch.rels, stride, k_max, p);
-            }
-        }
+        blocked_update(done, row_i, &scratch.adm, &scratch.rels, stride, k_max, p);
     }
 
     // Per-lane finish: best final state (at the lane's *own* final row, not
@@ -454,35 +398,6 @@ fn compact_masked(
                 }
             }
         }
-    }
-}
-
-/// Lockstep max-update over one predecessor boundary `j`: for every state
-/// `k ∈ [k_lo, k_hi]` and level `q`, fold
-/// `row_j[(k−q)·LANES + lane] · rels[(q−1)·LANES + lane]` into the state's
-/// `[f64; LANES]` window — one load and one store per state, every lane's
-/// fold a plain multiply-and-max. `NaN` rels (masked lanes) lose every
-/// comparison, so no per-lane control flow survives in the loop.
-#[inline]
-fn lockstep_update(row_j: &[f64], row_i: &mut [f64], k_lo: usize, k_hi: usize, jrels: &[f64]) {
-    let k_max = jrels.len() / LANES;
-    for k in k_lo..=k_hi {
-        let base = k * LANES;
-        let mut val: [f64; LANES] = row_i[base..base + LANES]
-            .try_into()
-            .expect("lane-width state window");
-        for q in 1..=k_max.min(k) {
-            let src_base = (k - q) * LANES;
-            let src: [f64; LANES] = row_j[src_base..src_base + LANES]
-                .try_into()
-                .expect("lane-width state window");
-            let rel = &jrels[(q - 1) * LANES..q * LANES];
-            for lane in 0..LANES {
-                let cand = src[lane] * rel[lane];
-                val[lane] = if cand > val[lane] { cand } else { val[lane] };
-            }
-        }
-        row_i[base..base + LANES].copy_from_slice(&val);
     }
 }
 
@@ -799,29 +714,27 @@ mod tests {
                     period_bound: bounds[idx],
                 })
                 .collect();
-            for inner in [BatchInner::Lockstep, BatchInner::Blocked] {
-                let mut scratch = BatchScratch::new();
-                let batched = solve_batch_with_inner(&lanes, inner, &mut scratch);
-                for (idx, lane) in lanes.iter().enumerate() {
-                    let solo = reliability_dp_with_kernel(
-                        lane.oracle,
-                        lane.chain,
-                        lane.platform,
-                        lane.period_bound,
-                        DpKernel::Chunked,
-                    );
-                    match (&batched[idx], &solo) {
-                        (Some(a), Some(b)) => {
-                            assert_eq!(a.reliability, b.reliability, "lane {idx} ({inner:?})");
-                            assert_eq!(a.mapping, b.mapping, "lane {idx} ({inner:?})");
-                        }
-                        (None, None) => {}
-                        (a, b) => panic!(
-                            "lane {idx} feasibility mismatch ({inner:?}): batched={} solo={}",
-                            a.is_some(),
-                            b.is_some()
-                        ),
+            let mut scratch = BatchScratch::new();
+            let batched = solve_batch(&lanes, &mut scratch);
+            for (idx, lane) in lanes.iter().enumerate() {
+                let solo = reliability_dp_with_kernel(
+                    lane.oracle,
+                    lane.chain,
+                    lane.platform,
+                    lane.period_bound,
+                    DpKernel::Chunked,
+                );
+                match (&batched[idx], &solo) {
+                    (Some(a), Some(b)) => {
+                        assert_eq!(a.reliability, b.reliability, "lane {idx}");
+                        assert_eq!(a.mapping, b.mapping, "lane {idx}");
                     }
+                    (None, None) => {}
+                    (a, b) => panic!(
+                        "lane {idx} feasibility mismatch: batched={} solo={}",
+                        a.is_some(),
+                        b.is_some()
+                    ),
                 }
             }
         }
@@ -864,29 +777,27 @@ mod tests {
                     period_bound: bounds[idx],
                 })
                 .collect();
-            for inner in [BatchInner::Lockstep, BatchInner::Blocked] {
-                let mut scratch = BatchScratch::new();
-                let batched = solve_batch_with_inner(&lanes, inner, &mut scratch);
-                for (idx, lane) in lanes.iter().enumerate() {
-                    let solo = reliability_dp_with_kernel(
-                        lane.oracle,
-                        lane.chain,
-                        lane.platform,
-                        lane.period_bound,
-                        DpKernel::Chunked,
-                    );
-                    match (&batched[idx], &solo) {
-                        (Some(a), Some(b)) => {
-                            assert_eq!(a.reliability, b.reliability, "lane {idx} ({inner:?})");
-                            assert_eq!(a.mapping, b.mapping, "lane {idx} ({inner:?})");
-                        }
-                        (None, None) => {}
-                        (a, b) => panic!(
-                            "lane {idx} feasibility mismatch ({inner:?}): batched={} solo={}",
-                            a.is_some(),
-                            b.is_some()
-                        ),
+            let mut scratch = BatchScratch::new();
+            let batched = solve_batch(&lanes, &mut scratch);
+            for (idx, lane) in lanes.iter().enumerate() {
+                let solo = reliability_dp_with_kernel(
+                    lane.oracle,
+                    lane.chain,
+                    lane.platform,
+                    lane.period_bound,
+                    DpKernel::Chunked,
+                );
+                match (&batched[idx], &solo) {
+                    (Some(a), Some(b)) => {
+                        assert_eq!(a.reliability, b.reliability, "lane {idx}");
+                        assert_eq!(a.mapping, b.mapping, "lane {idx}");
                     }
+                    (None, None) => {}
+                    (a, b) => panic!(
+                        "lane {idx} feasibility mismatch: batched={} solo={}",
+                        a.is_some(),
+                        b.is_some()
+                    ),
                 }
             }
         }

@@ -82,7 +82,7 @@ pub use algo_het_lat::{
 };
 pub use alloc::{algo_alloc, algo_alloc_with_oracle, exhaustive_alloc};
 pub use alloc_het::{algo_alloc_heterogeneous, algo_alloc_heterogeneous_with_oracle};
-pub use batch_kernel::{solve_batch, solve_batch_with_inner, BatchInner, BatchLane, BatchScratch};
+pub use batch_kernel::{solve_batch, BatchLane, BatchScratch};
 pub use energy_aware::{run_energy_aware_heuristic, EnergyAwareConfig, EnergyAwareSolution};
 pub use heur_l::{heur_l_partition, heur_l_partition_with_oracle};
 pub use heur_p::{heur_p_partition, heur_p_partition_with_oracle};

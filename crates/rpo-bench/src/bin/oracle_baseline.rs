@@ -72,8 +72,8 @@ use rpo_algorithms::{
     greedy_het_lat_with_oracle, greedy_het_with_oracle,
     optimize_reliability_homogeneous_with_oracle,
     optimize_reliability_with_period_bound_with_oracle, reliability_dp_with_kernel,
-    reliability_dp_with_scratch, solve_batch, solve_batch_with_inner, BatchInner, BatchLane,
-    BatchScratch, DpKernel, DpScratch, HetLatMethod, HetMethod, OptimalMapping, LANES,
+    reliability_dp_with_scratch, solve_batch, BatchLane, BatchScratch, DpKernel, DpScratch,
+    HetLatMethod, HetMethod, OptimalMapping, LANES,
 };
 use rpo_bench::{bench_chain, bench_hom_platform};
 use rpo_model::{reliability, Interval, IntervalOracle, Platform, TaskChain};
@@ -171,15 +171,12 @@ struct BatchSoaComparison {
     /// SIMD lane width of the mega-kernel (`rpo_algorithms::LANES`).
     lanes: usize,
     per_instance_millis: f64,
-    /// Full-stream wall clock of the lockstep inner sweep…
-    lockstep_millis: f64,
-    /// …and of the register-blocked retry (kept for the recorded verdict:
-    /// the default inner sweep is whichever wins).
+    /// Full-stream wall clock of the batched mega-kernel (its register-blocked
+    /// fold).
     blocked_millis: f64,
     per_instance_per_s: f64,
-    lockstep_per_s: f64,
     blocked_per_s: f64,
-    /// Default batched inner sweep vs the per-instance kernel — the
+    /// Batched mega-kernel vs the per-instance kernel — the
     /// `--enforce-batch-speedup` gate fails below 1.4×. (The floor was 2×
     /// when the default build carried the AVX-512 zmm opt-out removed from
     /// `.cargo/config.toml`; the default 256-bit build lands lower. The 2×
@@ -223,18 +220,10 @@ fn run_batch_soa() -> BatchSoaComparison {
         }
     });
     let mut batch_scratch = BatchScratch::new();
-    let mut measure_inner = |inner: BatchInner| {
-        time_median(BATCH_SOA_REPS, || {
-            let results = solve_batch_with_inner(&lanes, inner, &mut batch_scratch);
-            std::hint::black_box(results);
-        })
-    };
-    let lockstep_millis = measure_inner(BatchInner::Lockstep);
-    let blocked_millis = measure_inner(BatchInner::Blocked);
-    let default_millis = match BatchInner::default() {
-        BatchInner::Lockstep => lockstep_millis,
-        BatchInner::Blocked => blocked_millis,
-    };
+    let blocked_millis = time_median(BATCH_SOA_REPS, || {
+        let results = solve_batch(&lanes, &mut batch_scratch);
+        std::hint::black_box(results);
+    });
     let per_s = |millis: f64| BATCH_SOA_INSTANCES as f64 / (millis / 1e3);
     BatchSoaComparison {
         instances: BATCH_SOA_INSTANCES,
@@ -243,12 +232,10 @@ fn run_batch_soa() -> BatchSoaComparison {
         max_replication: platform.max_replication(),
         lanes: LANES,
         per_instance_millis,
-        lockstep_millis,
         blocked_millis,
         per_instance_per_s: per_s(per_instance_millis),
-        lockstep_per_s: per_s(lockstep_millis),
         blocked_per_s: per_s(blocked_millis),
-        speedup: per_instance_millis / default_millis,
+        speedup: per_instance_millis / blocked_millis,
     }
 }
 
@@ -1157,10 +1144,10 @@ struct ServeBaseline {
     admitted: u64,
     /// Requests coalesced onto an already-queued or in-flight solve.
     coalesced: u64,
-    /// Requests answered from a per-tenant cache shard at admission.
-    shard_cache_hits: u64,
-    /// Responses flagged `coalesced` or `cached` (shard hits plus
-    /// engine-cache answers): duplicate traffic that paid no fresh solve.
+    /// Requests answered from the engine's instance cache at admission.
+    cache_hits: u64,
+    /// Responses flagged `coalesced` or `cached`: duplicate traffic that
+    /// paid no fresh solve.
     absorbed_responses: u64,
     /// Engine solve calls issued by the service workers.
     solves: u64,
@@ -1210,7 +1197,6 @@ fn run_serve_baseline() -> ServeBaseline {
         workers: 2,
         queue_capacity: 1024,
         default_deadline: None,
-        ..ServeConfig::default()
     };
     let workers = config.workers;
     let engine = Arc::new(PortfolioEngine::default().with_threads(1));
@@ -1309,7 +1295,7 @@ fn run_serve_baseline() -> ServeBaseline {
         throughput_req_per_s: SERVE_REQUESTS as f64 / elapsed.as_secs_f64(),
         admitted: stats.admitted,
         coalesced: stats.coalesced,
-        shard_cache_hits: stats.cache_hits,
+        cache_hits: stats.cache_hits,
         absorbed_responses,
         solves: stats.solved,
         shed: stats.shed,
@@ -1455,13 +1441,8 @@ fn main() {
     );
     let batch_soa = run_batch_soa();
     eprintln!(
-        "  per-instance {:.1} inst/s, lockstep {:.1} inst/s, blocked {:.1} inst/s \
-         → {:.2}× (default inner {:?})",
-        batch_soa.per_instance_per_s,
-        batch_soa.lockstep_per_s,
-        batch_soa.blocked_per_s,
-        batch_soa.speedup,
-        BatchInner::default(),
+        "  per-instance {:.1} inst/s, batched {:.1} inst/s → {:.2}×",
+        batch_soa.per_instance_per_s, batch_soa.blocked_per_s, batch_soa.speedup,
     );
     let batch_regressed = batch_soa.speedup < 1.4;
 
@@ -1592,13 +1573,13 @@ fn main() {
     );
     let serve = run_serve_baseline();
     eprintln!(
-        "  {:.0} req/s sustained ({:.0}% duplicates; {} coalesced, {} shard hits, \
+        "  {:.0} req/s sustained ({:.0}% duplicates; {} coalesced, {} cache hits, \
          {} absorbed, {} solves); latency p50 {:.2} ms, p99 {:.2} ms, p999 {:.2} ms; \
          {} shed, {} overloaded, {} deadline violations",
         serve.throughput_req_per_s,
         100.0 * serve.duplicate_fraction,
         serve.coalesced,
-        serve.shard_cache_hits,
+        serve.cache_hits,
         serve.absorbed_responses,
         serve.solves,
         serve.latency_p50_ms,

@@ -41,7 +41,7 @@
 use std::io::Read as _;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rpo_experiments::problem_io::{
     portfolio_report_to_json, report_to_json, solve, solve_portfolio, ProblemSpec,
@@ -95,7 +95,26 @@ struct ObsArgs {
     churn: bool,
     tcp: Option<String>,
     queue: Option<usize>,
-    deadline_ms: Option<f64>,
+    /// `--deadline-ms`: the service's default deadline (`Some(None)` turns
+    /// it off).
+    deadline: Option<Option<Duration>>,
+}
+
+/// Parses a `--deadline-ms` value. Zero or a negative value means no
+/// default deadline; a value no deadline can hold is a usage error, the
+/// same check the service applies to a request's own `deadline_ms`.
+fn parse_deadline_ms(value: &str) -> Result<Option<Duration>, String> {
+    let ms: f64 = value
+        .parse()
+        .map_err(|_| "invalid --deadline-ms".to_string())?;
+    if ms <= 0.0 {
+        return Ok(None);
+    }
+    Duration::try_from_secs_f64(ms / 1000.0)
+        .ok()
+        .filter(|&after| Instant::now().checked_add(after).is_some())
+        .map(Some)
+        .ok_or_else(|| format!("--deadline-ms {value} is out of range"))
 }
 
 /// Strips the flag arguments out of `args`, returning the remaining
@@ -130,13 +149,7 @@ fn parse_flags(args: Vec<String>) -> Result<(Vec<String>, ObsArgs), String> {
             Some(("--queue", value)) => {
                 obs.queue = Some(value.parse().map_err(|_| "invalid --queue".to_string())?);
             }
-            Some(("--deadline-ms", value)) => {
-                obs.deadline_ms = Some(
-                    value
-                        .parse()
-                        .map_err(|_| "invalid --deadline-ms".to_string())?,
-                );
-            }
+            Some(("--deadline-ms", value)) => obs.deadline = Some(parse_deadline_ms(value)?),
             _ => match arg.as_str() {
                 "--trace" => obs.trace = Some(flag_value("--trace", None)?),
                 "--collapse" => obs.collapse = Some(flag_value("--collapse", None)?),
@@ -162,11 +175,7 @@ fn parse_flags(args: Vec<String>) -> Result<(Vec<String>, ObsArgs), String> {
                     );
                 }
                 "--deadline-ms" => {
-                    obs.deadline_ms = Some(
-                        flag_value("--deadline-ms", None)?
-                            .parse()
-                            .map_err(|_| "invalid --deadline-ms".to_string())?,
-                    );
+                    obs.deadline = Some(parse_deadline_ms(&flag_value("--deadline-ms", None)?)?);
                 }
                 "--het" => obs.heterogeneous = true,
                 "--bucketed" => obs.bucketed = true,
@@ -282,12 +291,8 @@ fn run_serve(obs: &ObsArgs) -> Result<String, String> {
     if let Some(queue) = obs.queue {
         config.queue_capacity = queue.max(1);
     }
-    if let Some(ms) = obs.deadline_ms {
-        config.default_deadline = if ms.is_finite() && ms > 0.0 {
-            Some(Duration::from_secs_f64(ms / 1000.0))
-        } else {
-            None
-        };
+    if let Some(deadline) = obs.deadline {
+        config.default_deadline = deadline;
     }
     let service = Arc::new(SolverService::start(engine, config));
     match &obs.tcp {

@@ -13,19 +13,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// How the engine races its backends.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RaceMode {
-    /// Run every applicable backend and merge everything (deterministic
-    /// front: the merge order is the fixed backend order, not thread order).
-    #[default]
-    RunAll,
-    /// Stop dispatching new backends once one has produced a feasible
-    /// candidate; backends already running still contribute. Lower latency,
-    /// but which backends ran depends on timing.
-    FirstFeasible,
-}
-
 /// What happened to one backend during a solve.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunStatus {
@@ -35,8 +22,6 @@ pub enum RunStatus {
     Skipped(&'static str),
     /// The time budget expired before the backend was dispatched.
     DeadlineExpired,
-    /// First-feasible mode: a winner emerged before this backend started.
-    Preempted,
     /// The caller supplied this backend's candidates precomputed (e.g. from
     /// the batched SoA mega-kernel), so the backend was not dispatched; its
     /// candidates were re-certified and merged like a completed run's.
@@ -161,7 +146,6 @@ impl ScratchPool {
 pub struct PortfolioEngine {
     backends: Vec<Box<dyn SolverBackend>>,
     budget: Budget,
-    mode: RaceMode,
     threads: usize,
     cache: Mutex<InstanceCache>,
     /// Chain-keyed oracle cache: near-duplicate instances (same chain and
@@ -202,8 +186,8 @@ impl PortfolioEngine {
     /// worker of a wide batch; arenas beyond it are simply dropped.
     pub const DEFAULT_SCRATCH_POOL_CAPACITY: usize = 64;
 
-    /// An engine racing `backends` under `budget`, in [`RaceMode::RunAll`],
-    /// with one worker thread per available core.
+    /// An engine racing `backends` under `budget`, with one worker thread
+    /// per available core.
     pub fn new(backends: Vec<Box<dyn SolverBackend>>, budget: Budget) -> Self {
         let threads = std::thread::available_parallelism()
             .map(NonZeroUsize::get)
@@ -219,19 +203,12 @@ impl PortfolioEngine {
         PortfolioEngine {
             backends,
             budget,
-            mode: RaceMode::RunAll,
             threads,
             cache: Mutex::new(InstanceCache::new(Self::DEFAULT_CACHE_CAPACITY)),
             oracles: Mutex::new(OracleCache::new(Self::DEFAULT_ORACLE_CACHE_CAPACITY)),
             scratch: ScratchPool::new(Self::DEFAULT_SCRATCH_POOL_CAPACITY),
             backend_obs,
         }
-    }
-
-    /// Sets the race mode.
-    pub fn with_mode(mut self, mode: RaceMode) -> Self {
-        self.mode = mode;
-        self
     }
 
     /// Sets the number of worker threads used per solve (min 1).
@@ -330,20 +307,30 @@ impl PortfolioEngine {
         self.solve_inner(instance, threads, precomputed, None)
     }
 
-    /// [`PortfolioEngine::solve_with_threads`] with an explicit wall-clock
-    /// deadline for this call, tightening (never loosening) the budget's
-    /// time limit. Backends not yet dispatched when the deadline passes are
-    /// marked [`RunStatus::DeadlineExpired`] and the outcome's
+    /// [`PortfolioEngine::solve`] with an explicit wall-clock deadline for
+    /// this call, tightening (never loosening) the budget's time limit.
+    /// Backends not yet dispatched when the deadline passes are marked
+    /// [`RunStatus::DeadlineExpired`] and the outcome's
     /// [`PortfolioOutcome::deadline_expired`] flag is set; the (partial)
     /// front is returned but not cached. This is the serving layer's
     /// entry point: a request's residual deadline maps directly onto it.
     pub fn solve_until(
         &self,
         instance: &ProblemInstance,
-        threads: usize,
         deadline: Option<Instant>,
     ) -> PortfolioOutcome {
-        self.solve_inner(instance, threads, Vec::new(), deadline)
+        self.solve_inner(instance, self.threads, Vec::new(), deadline)
+    }
+
+    /// The cached front for `instance`, if a previous solve stored one (only
+    /// solves whose deadline did not expire are stored). Every solve entry
+    /// point answers from this lookup first; the serving layer also calls it
+    /// at admission, so a duplicate never takes a queue slot.
+    pub fn cached(&self, instance: &ProblemInstance) -> Option<Arc<ParetoFront>> {
+        self.cache
+            .lock()
+            .expect("cache lock poisoned")
+            .get(instance)
     }
 
     /// Resolves the instance's shared interval-metrics oracle through the
@@ -376,12 +363,7 @@ impl PortfolioEngine {
         precomputed: Vec<(&'static str, Vec<crate::backend::CandidateMapping>)>,
         deadline_override: Option<Instant>,
     ) -> PortfolioOutcome {
-        if let Some(front) = self
-            .cache
-            .lock()
-            .expect("cache lock poisoned")
-            .get(instance)
-        {
+        if let Some(front) = self.cached(instance) {
             return PortfolioOutcome {
                 front,
                 runs: Vec::new(),
@@ -445,23 +427,18 @@ impl PortfolioEngine {
         // finishes (ParetoFront::insert is insertion-order independent, so
         // the front still never depends on thread scheduling).
         let queue = AtomicUsize::new(0);
-        let winner_found = AtomicBool::new(false);
         let expired = AtomicBool::new(false);
         let streaming = StreamingFront::new();
 
         // Seed the front with the precomputed results, through the same
         // re-certify → bound-filter → merge pipeline a live backend's
-        // candidates take. Seeding before the race also lets FirstFeasible
-        // mode preempt on a precomputed winner.
+        // candidates take.
         for (name, mut candidates) in precomputed {
             let total = candidates.len();
             for candidate in &mut candidates {
                 candidate.evaluation = oracle.evaluate(&candidate.mapping);
             }
             candidates.retain(|c| instance.admits(&c.evaluation));
-            if !candidates.is_empty() {
-                winner_found.store(true, Ordering::Release);
-            }
             let feasible = candidates.len();
             if let Some(index) = self.backends.iter().position(|b| b.name() == name) {
                 runs[index].candidates = total;
@@ -494,11 +471,7 @@ impl PortfolioEngine {
                 };
                 let backend = &self.backends[index];
 
-                let outcome = if self.mode == RaceMode::FirstFeasible
-                    && winner_found.load(Ordering::Acquire)
-                {
-                    (RunStatus::Preempted, 0, 0, 0)
-                } else if expired.load(Ordering::Acquire)
+                let outcome = if expired.load(Ordering::Acquire)
                     || deadline.is_some_and(|d| Instant::now() >= d)
                 {
                     expired.store(true, Ordering::Release);
@@ -526,9 +499,6 @@ impl PortfolioEngine {
                         candidate.evaluation = oracle.evaluate(&candidate.mapping);
                     }
                     candidates.retain(|c| instance.admits(&c.evaluation));
-                    if !candidates.is_empty() {
-                        winner_found.store(true, Ordering::Release);
-                    }
                     let feasible = candidates.len();
                     self.backend_obs[index].feasible.add(feasible as u64);
                     for candidate in candidates {
@@ -672,14 +642,6 @@ mod tests {
             completed >= 5,
             "expected at least five backends to run, got {completed}"
         );
-    }
-
-    #[test]
-    fn first_feasible_mode_still_returns_a_valid_front() {
-        let engine = PortfolioEngine::default().with_mode(RaceMode::FirstFeasible);
-        let outcome = engine.solve(&instance());
-        assert!(outcome.is_feasible());
-        assert!(outcome.front.is_mutually_non_dominated());
     }
 
     #[test]

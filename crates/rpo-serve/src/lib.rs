@@ -20,12 +20,13 @@
 //!   are converted to sheds before delivery.
 //! * **Duplicate coalescing** — requests are keyed by the same canonical
 //!   structural hash the engine's [`InstanceCache`] uses; concurrent
-//!   identical requests (tenant-independent) attach to the in-flight solve
-//!   and share its single result bit-for-bit.
-//! * **Per-tenant cache shards** — each tenant gets its own
-//!   [`InstanceCache`] shard consulted at admission, so one tenant's
-//!   traffic cannot evict another's hot entries from the serving fast path
-//!   (the engine's internal cache remains a shared second level).
+//!   identical requests attach to the queued or in-flight solve and share
+//!   its single result bit-for-bit.
+//! * **One result cache** — admission asks the engine's own
+//!   [`InstanceCache`] ([`PortfolioEngine::cached`]) first, so a duplicate
+//!   of any finished solve is answered at once with `cached: true` and
+//!   never takes a queue slot. The cache key is the instance alone: the
+//!   request's `tenant` label plays no part in caching or coalescing.
 //! * **Graceful drain** — [`SolverService::shutdown`] stops admitting,
 //!   finishes every queued solve (still under deadline rules), answers
 //!   late arrivals with [`ResponseStatus::Draining`], and joins the
@@ -37,6 +38,7 @@
 //! duplicate-heavy request stream against these.
 //!
 //! [`InstanceCache`]: rpo_portfolio::InstanceCache
+//! [`PortfolioEngine::cached`]: rpo_portfolio::PortfolioEngine::cached
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -17,11 +17,15 @@ pub struct ServeRequest {
     /// Client-chosen correlation id, echoed verbatim in the response.
     #[serde(default)]
     pub id: u64,
-    /// Tenant label; requests of the same tenant share a cache shard.
+    /// Tenant label, accepted but not used for caching: the service caches
+    /// and coalesces on the instance alone, so duplicates from any tenant
+    /// share one cached result.
     #[serde(default)]
     pub tenant: u64,
     /// Per-request deadline in milliseconds, measured from admission.
-    /// Absent/null inherits [`crate::ServeConfig::default_deadline`].
+    /// Absent/null inherits [`crate::ServeConfig::default_deadline`]; a
+    /// negative value means no deadline; a value no deadline can hold (such
+    /// as `1e300`) is answered [`ResponseStatus::Invalid`].
     pub deadline_ms: Option<f64>,
     /// The task chain to map.
     pub chain: rpo_model::TaskChain,
@@ -109,8 +113,8 @@ pub struct ServeResponse {
     /// Whether this response was coalesced onto another request's solve.
     #[serde(default)]
     pub coalesced: bool,
-    /// Whether this response was answered from a cache (tenant shard or the
-    /// engine's shared cache) without a fresh solve.
+    /// Whether this response was answered from the engine's instance cache
+    /// without a fresh solve.
     #[serde(default)]
     pub cached: bool,
     /// Time the request spent queued before its solve started, in µs

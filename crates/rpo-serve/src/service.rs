@@ -1,8 +1,8 @@
-//! The solver service: admission control, coalescing, sharded caching, and
-//! the worker loop, independent of any particular wire protocol.
+//! The solver service: admission control, coalescing, and the worker loop,
+//! independent of any particular wire protocol.
 
 use crate::proto::{ResponseStatus, ServeRequest, ServeResponse};
-use rpo_portfolio::{InstanceCache, ParetoFront, PortfolioEngine, ProblemInstance};
+use rpo_portfolio::{ParetoFront, PortfolioEngine, ProblemInstance};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -23,12 +23,6 @@ pub struct ServeConfig {
     /// Deadline for requests that do not carry their own `deadline_ms`
     /// (`None` = such requests never expire).
     pub default_deadline: Option<Duration>,
-    /// Number of per-tenant cache shards (tenant id modulo shards).
-    pub tenant_shards: usize,
-    /// Capacity of each tenant shard.
-    pub shard_capacity: usize,
-    /// Thread width handed to the engine per solve.
-    pub solve_threads: usize,
 }
 
 impl Default for ServeConfig {
@@ -37,9 +31,6 @@ impl Default for ServeConfig {
             workers: 2,
             queue_capacity: 512,
             default_deadline: Some(Duration::from_millis(250)),
-            tenant_shards: 8,
-            shard_capacity: 256,
-            solve_threads: 1,
         }
     }
 }
@@ -53,7 +44,8 @@ pub struct ServeStats {
     /// Requests that attached to an already queued or in-flight identical
     /// solve.
     pub coalesced: u64,
-    /// Requests answered from a cache (tenant shard) at admission.
+    /// Requests answered at admission from the engine's instance cache,
+    /// whatever their tenant.
     pub cache_hits: u64,
     /// Requests shed because their deadline passed before their solve could
     /// start, or before their response could be delivered.
@@ -74,7 +66,6 @@ pub type Responder = Box<dyn FnOnce(ServeResponse) + Send + 'static>;
 /// One party waiting on a queued (possibly shared) solve.
 struct Waiter {
     id: u64,
-    tenant: u64,
     submitted: Instant,
     deadline: Option<Instant>,
     coalesced: bool,
@@ -102,7 +93,6 @@ struct Core {
     state: Mutex<State>,
     /// Signals workers that the queue gained work or drain started.
     work: Condvar,
-    shards: Vec<Mutex<InstanceCache>>,
     admitted: AtomicU64,
     coalesced: AtomicU64,
     cache_hits: AtomicU64,
@@ -144,9 +134,6 @@ impl SolverService {
     /// Starts the service: spawns [`ServeConfig::workers`] solver threads
     /// over `engine`.
     pub fn start(engine: Arc<PortfolioEngine>, config: ServeConfig) -> Self {
-        let shards = (0..config.tenant_shards.max(1))
-            .map(|_| Mutex::new(InstanceCache::new(config.shard_capacity)))
-            .collect();
         let core = Arc::new(Core {
             engine,
             config: config.clone(),
@@ -156,7 +143,6 @@ impl SolverService {
                 draining: false,
             }),
             work: Condvar::new(),
-            shards,
             admitted: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
@@ -214,7 +200,7 @@ impl SolverService {
     /// `workers: 0` (the deterministic test mode) — with live workers it
     /// merely competes with them.
     pub fn process_one(&self) -> bool {
-        process_next(&self.core, false)
+        process_next(&self.core)
     }
 
     /// Graceful drain: stops admitting (late submissions get
@@ -237,7 +223,7 @@ impl SolverService {
         }
         // With no workers (test mode), the queue is drained here so every
         // outstanding ticket still resolves.
-        while process_next(&self.core, true) {}
+        while process_next(&self.core) {}
         self.core.stats()
     }
 }
@@ -255,18 +241,30 @@ impl Core {
         }
     }
 
-    fn shard(&self, tenant: u64) -> &Mutex<InstanceCache> {
-        &self.shards[(tenant % self.shards.len() as u64) as usize]
-    }
-
     fn submit(&self, request: ServeRequest, respond: Responder) {
         let submitted = Instant::now();
         let deadline = match request.deadline_ms {
-            Some(ms) if ms.is_finite() && ms >= 0.0 => {
-                Some(submitted + Duration::from_secs_f64(ms / 1000.0))
-            }
-            Some(_) => None, // null-equivalent nonsense: treat as unbounded
-            None => self.config.default_deadline.map(|d| submitted + d),
+            // A negative deadline means none at all, not even the default.
+            Some(ms) if ms < 0.0 => None,
+            Some(ms) => match Duration::try_from_secs_f64(ms / 1000.0)
+                .ok()
+                .and_then(|after| submitted.checked_add(after))
+            {
+                Some(deadline) => Some(deadline),
+                None => {
+                    respond(ServeResponse::rejection(
+                        request.id,
+                        ResponseStatus::Invalid,
+                        format!("deadline_ms {ms:e} is not a representable deadline"),
+                    ));
+                    return;
+                }
+            },
+            // A default too far away for an `Instant` never expires.
+            None => self
+                .config
+                .default_deadline
+                .and_then(|after| submitted.checked_add(after)),
         };
 
         let instance = match ProblemInstance::new(
@@ -286,15 +284,11 @@ impl Core {
             }
         };
 
-        // Tenant-shard fast path: answer without touching the queue. The
-        // shard holds fronts this service itself certified, so a hit is
-        // bit-identical to the solve that produced it.
-        let shard_hit = self
-            .shard(request.tenant)
-            .lock()
-            .expect("tenant shard poisoned")
-            .get(&instance);
-        if let Some(front) = shard_hit {
+        // Cache fast path: a duplicate of any earlier solve, from any tenant,
+        // is answered without touching the queue. The engine caches only
+        // fronts whose solve ran to completion, so a hit is bit-identical to
+        // the solve that produced it.
+        if let Some(front) = self.engine.cached(&instance) {
             self.cache_hits.fetch_add(1, Ordering::Relaxed);
             rpo_obs::counter!("serve.cache_hits").inc();
             let response = respond_from_front(request.id, &front, true);
@@ -320,89 +314,74 @@ impl Core {
         }
 
         let key = instance.canonical_key();
-        let waiter = Waiter {
-            id: request.id,
-            tenant: request.tenant,
-            submitted,
-            deadline,
-            coalesced: false,
-            respond,
-        };
-
         let mut state = self.state.lock().expect("serve state poisoned");
-        if state.draining {
+        let rejection = if state.draining {
             self.drained.fetch_add(1, Ordering::Relaxed);
             rpo_obs::counter!("serve.drained").inc();
-            (waiter.respond)(ServeResponse::rejection(
-                waiter.id,
-                ResponseStatus::Draining,
-                "service is draining",
-            ));
-            return;
-        }
-        if let Some(pending) = state.pending.get_mut(&key) {
+            ServeResponse::rejection(request.id, ResponseStatus::Draining, "service is draining")
+        } else if let Some(pending) = state
+            .pending
+            .get_mut(&key)
             // Canonical keys are hashes: only coalesce onto a structurally
             // identical instance. A colliding non-identical instance falls
-            // through to normal admission under its (shared) key — it will
-            // run as its own solve.
-            if pending.instance == instance {
-                let mut waiter = waiter;
-                waiter.coalesced = true;
-                pending.waiters.push(waiter);
-                self.coalesced.fetch_add(1, Ordering::Relaxed);
-                rpo_obs::counter!("serve.coalesced").inc();
-                return;
-            }
-        }
-        if state.queue.len() >= self.config.queue_capacity {
+            // through to normal admission below.
+            .filter(|pending| pending.instance == instance)
+        {
+            pending.waiters.push(Waiter {
+                id: request.id,
+                submitted,
+                deadline,
+                coalesced: true,
+                respond,
+            });
+            self.coalesced.fetch_add(1, Ordering::Relaxed);
+            rpo_obs::counter!("serve.coalesced").inc();
+            return;
+        } else if state.queue.len() >= self.config.queue_capacity {
             self.overloaded.fetch_add(1, Ordering::Relaxed);
             rpo_obs::counter!("serve.overloaded").inc();
-            (waiter.respond)(ServeResponse::rejection(
-                waiter.id,
+            ServeResponse::rejection(
+                request.id,
                 ResponseStatus::Overloaded,
                 format!(
                     "ingress queue full ({} queued solves)",
                     self.config.queue_capacity
                 ),
-            ));
-            return;
-        }
-        // Hash-collision corner: a distinct instance under an occupied key
-        // must not clobber the pending entry. It gets queued without a
-        // pending entry of its own, carried entirely by the queue slot.
-        let vacant = !state.pending.contains_key(&key);
-        if vacant {
-            state.pending.insert(
-                key,
-                PendingSolve {
-                    instance,
-                    enqueued: submitted,
-                    waiters: vec![waiter],
-                },
-            );
-            state.queue.push_back(key);
+            )
         } else {
-            // Collision path (astronomically rare): solve it un-coalesced by
-            // queueing a dedicated one-off entry under a synthetic key.
-            let mut synthetic = key;
-            while state.pending.contains_key(&synthetic) {
-                synthetic = synthetic.wrapping_add(1);
+            // Hash-collision corner (astronomically rare): a distinct
+            // instance under an occupied key must not clobber the pending
+            // entry, so it is queued un-coalesced under the next free key.
+            let mut slot = key;
+            while state.pending.contains_key(&slot) {
+                slot = slot.wrapping_add(1);
             }
             state.pending.insert(
-                synthetic,
+                slot,
                 PendingSolve {
                     instance,
                     enqueued: submitted,
-                    waiters: vec![waiter],
+                    waiters: vec![Waiter {
+                        id: request.id,
+                        submitted,
+                        deadline,
+                        coalesced: false,
+                        respond,
+                    }],
                 },
             );
-            state.queue.push_back(synthetic);
-        }
-        self.depth.store(state.queue.len(), Ordering::Release);
-        self.admitted.fetch_add(1, Ordering::Relaxed);
-        rpo_obs::counter!("serve.admitted").inc();
+            state.queue.push_back(slot);
+            self.depth.store(state.queue.len(), Ordering::Release);
+            self.admitted.fetch_add(1, Ordering::Relaxed);
+            rpo_obs::counter!("serve.admitted").inc();
+            drop(state);
+            self.work.notify_one();
+            return;
+        };
+        // Responders run outside the state lock: a peer that stops reading
+        // blocks its own responder, never the workers or other submitters.
         drop(state);
-        self.work.notify_one();
+        respond(rejection);
     }
 }
 
@@ -466,100 +445,73 @@ fn worker_loop(core: &Core) {
         }
         // Queue non-empty (or racing another worker for the last item) —
         // process_next handles the empty race benignly.
-        process_next(core, true);
+        process_next(core);
     }
 }
 
 /// Pops and runs one queued solve. Returns `false` if the queue was empty.
-/// `block_on_engine` is always true today; the flag documents that the
-/// engine call happens outside every service lock.
-fn process_next(core: &Core, _block_on_engine: bool) -> bool {
-    // Dequeue under the lock; solve outside it.
-    let (key, instance, enqueued) = {
+/// The engine call and every responder run outside the service's locks.
+fn process_next(core: &Core) -> bool {
+    // Dequeue under the lock, with queue-time shedding, dequeue edition:
+    // waiters whose deadline passed while queued are shed *before* the
+    // solve; if nobody is left, the solve is skipped entirely. Waiters still
+    // live keep the solve, run with the latest live deadline as the
+    // engine's cutoff.
+    let (key, live, enqueued, shed, latest_deadline) = {
         let mut state = core.state.lock().expect("serve state poisoned");
         let Some(key) = state.queue.pop_front() else {
             return false;
         };
         core.depth.store(state.queue.len(), Ordering::Release);
-        let pending = state
-            .pending
-            .get(&key)
-            .expect("queued key without pending entry");
-        (key, pending.instance.clone(), pending.enqueued)
-    };
-
-    let queue_wait = enqueued.elapsed();
-    rpo_obs::histogram!("serve.queue_wait").record(queue_wait);
-
-    // Queue-time shedding, dequeue edition: waiters whose deadline passed
-    // while queued are shed *before* the solve; if nobody is left, the
-    // solve is skipped entirely. Waiters still live keep the solve, run
-    // with the latest live deadline as the engine's cutoff.
-    let now = Instant::now();
-    let (live_any, latest_deadline) = {
-        let mut state = core.state.lock().expect("serve state poisoned");
+        let now = Instant::now();
         let pending = state
             .pending
             .get_mut(&key)
             .expect("queued key without pending entry");
-        let mut kept = Vec::with_capacity(pending.waiters.len());
-        for waiter in pending.waiters.drain(..) {
-            if waiter.deadline.is_some_and(|d| now >= d) {
-                core.shed.fetch_add(1, Ordering::Relaxed);
-                rpo_obs::counter!("serve.shed").inc();
-                (waiter.respond)(shed_response(waiter.id));
-            } else {
-                kept.push(waiter);
-            }
-        }
+        let (shed, kept): (Vec<Waiter>, Vec<Waiter>) = pending
+            .waiters
+            .drain(..)
+            .partition(|waiter| waiter.deadline.is_some_and(|d| now >= d));
         let latest = if kept.iter().any(|w| w.deadline.is_none()) {
             None
         } else {
             kept.iter().filter_map(|w| w.deadline).max()
         };
-        let live = !kept.is_empty();
+        let live = (!kept.is_empty()).then(|| pending.instance.clone());
+        let enqueued = pending.enqueued;
         pending.waiters = kept;
-        if !live {
+        if live.is_none() {
             state.pending.remove(&key);
         }
-        (live, latest)
+        (key, live, enqueued, shed, latest)
     };
-    if !live_any {
-        return true;
+
+    let queue_wait = enqueued.elapsed();
+    rpo_obs::histogram!("serve.queue_wait").record(queue_wait);
+    for waiter in shed {
+        core.shed.fetch_add(1, Ordering::Relaxed);
+        rpo_obs::counter!("serve.shed").inc();
+        (waiter.respond)(shed_response(waiter.id));
     }
+    let Some(instance) = live else {
+        return true;
+    };
 
     let solve_start = Instant::now();
-    let outcome =
-        core.engine
-            .solve_until(&instance, core.config.solve_threads.max(1), latest_deadline);
+    let outcome = core.engine.solve_until(&instance, latest_deadline);
     let solve_micros = solve_start.elapsed().as_micros() as u64;
     core.solved.fetch_add(1, Ordering::Relaxed);
 
-    // Publish to the tenant shards *before* detaching the waiters, so a
-    // duplicate arriving after its original's entry disappears finds the
-    // front in its shard. Deadline-expired (partial) fronts are not
-    // published — matching the engine's own no-caching rule.
-    let waiters = {
-        let mut state = core.state.lock().expect("serve state poisoned");
-        let pending = state
-            .pending
-            .remove(&key)
-            .expect("queued key without pending entry");
-        if !outcome.deadline_expired {
-            let mut published: Vec<u64> = Vec::new();
-            for waiter in &pending.waiters {
-                let shard_index = waiter.tenant % core.shards.len() as u64;
-                if !published.contains(&shard_index) {
-                    published.push(shard_index);
-                    core.shards[shard_index as usize]
-                        .lock()
-                        .expect("tenant shard poisoned")
-                        .put(&instance, std::sync::Arc::clone(&outcome.front));
-                }
-            }
-        }
-        pending.waiters
-    };
+    // The engine cached a completed front before the pending entry goes, so
+    // a duplicate arriving from here on is answered at admission.
+    let waiters = core
+        .state
+        .lock()
+        .expect("serve state poisoned")
+        .pending
+        .remove(&key)
+        .expect("queued key without pending entry")
+        .waiters;
 
     // Delivery-time deadline check: a response is never handed out past its
     // waiter's deadline — late results are converted to sheds, structurally
@@ -571,9 +523,9 @@ fn process_next(core: &Core, _block_on_engine: bool) -> bool {
             rpo_obs::counter!("serve.shed").inc();
             shed_response(waiter.id)
         } else {
-            // `cached` is honest here: the engine may have answered an
-            // admitted request from its own instance cache (e.g. a
-            // cross-tenant duplicate that missed the tenant shards).
+            // `cached` is honest here: a duplicate that missed the cache at
+            // admission finds the front when its original finished between
+            // that lookup and this solve.
             let mut response = respond_from_front(waiter.id, &outcome.front, outcome.from_cache);
             response.coalesced = waiter.coalesced;
             response.queue_wait_micros = queue_wait.as_micros() as u64;

@@ -13,7 +13,8 @@
 //! Duplicates re-generate the *same unique instance* by index (the
 //! generator is deterministic), so a duplicate request is canonically
 //! hash-identical to its original — exactly what exercises request
-//! coalescing and the per-tenant cache shards in `rpo-serve`.
+//! coalescing and the admission-time cache lookup in `rpo-serve`, whatever
+//! tenant label the duplicate carries.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;

@@ -1,19 +1,21 @@
 //! The serving-layer contract: bounded-queue backpressure, deadline
-//! shedding (never a stale solve), bit-identical duplicate coalescing, the
-//! engine's deadline accounting underneath it all, and a 1k-request
+//! shedding (never a stale solve), bit-identical duplicate coalescing, one
+//! result cache for every tenant, responders that never stall the service,
+//! the engine's deadline accounting underneath it all, and a 1k-request
 //! loopback replay over real TCP.
 
 use pipelined_rt::portfolio::{
     default_backends, Budget, PortfolioEngine, ProblemInstance, RunStatus,
 };
 use pipelined_rt::serve::{
-    serve_lines, ResponseStatus, ServeConfig, ServeRequest, ServeResponse, SolverService, TcpServer,
+    serve_lines, Responder, ResponseStatus, ServeConfig, ServeRequest, ServeResponse,
+    SolverService, TcpServer,
 };
 use pipelined_rt::workload::{GeneratedRequest, InstanceGenerator, RequestSpec};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// Dresses a generated request as a wire request (homogeneous platform).
@@ -38,7 +40,6 @@ fn manual_service(queue_capacity: usize) -> SolverService {
             workers: 0,
             queue_capacity,
             default_deadline: None,
-            ..ServeConfig::default()
         },
     )
 }
@@ -158,7 +159,8 @@ fn coalesced_duplicates_are_bit_identical() {
     );
     assert_eq!(a.mapping, b.mapping);
 
-    // A later identical request hits the tenant shard without a new solve.
+    // A later identical request is answered from the engine's instance
+    // cache at admission, without a new solve.
     let third = service.submit(ServeRequest {
         id: 1000,
         ..to_wire(&requests[0], None)
@@ -175,10 +177,156 @@ fn coalesced_duplicates_are_bit_identical() {
 }
 
 #[test]
+fn duplicates_from_another_tenant_are_answered_at_admission() {
+    let service = manual_service(16);
+    let requests: Vec<GeneratedRequest> = RequestSpec::serve_replay(350).stream(1).collect();
+    let original = ServeRequest {
+        tenant: 0,
+        ..to_wire(&requests[0], None)
+    };
+    let first = service.submit(original.clone());
+    assert!(service.process_one());
+    let a = first.wait();
+    assert_eq!(a.status, ResponseStatus::Ok);
+
+    // The same instance from another tenant: the tenant label is no part of
+    // the cache key, so the copy is answered before it takes a queue slot.
+    let copy = service.submit(ServeRequest {
+        id: 1,
+        tenant: 1,
+        ..original
+    });
+    assert_eq!(service.queue_depth(), 0);
+    let b = copy
+        .try_get()
+        .expect("a cache hit is answered at admission");
+    assert!(b.cached);
+    let stats = service.stats();
+    assert_eq!(stats.solved, 1);
+    assert_eq!(stats.cache_hits, 1);
+    assert_eq!(
+        a.reliability.unwrap().to_bits(),
+        b.reliability.unwrap().to_bits()
+    );
+    assert_eq!(a.mapping, b.mapping);
+    service.shutdown();
+}
+
+/// Runs `trigger`, which makes the service call the responder it is given,
+/// on one thread; that responder blocks like a TCP peer that stopped
+/// reading. While it blocks, `probe` is submitted from another thread and
+/// must return. The gate opens before the verdict is asserted, so a service
+/// that responds under its state lock fails the test instead of hanging it.
+fn assert_submit_returns_while_a_responder_blocks(
+    service: &SolverService,
+    expected: ResponseStatus,
+    trigger: impl FnOnce(Responder) + Send,
+    probe: ServeRequest,
+) {
+    std::thread::scope(|scope| {
+        let (entered_tx, entered) = mpsc::channel();
+        let (gate, gate_rx) = mpsc::channel::<()>();
+        scope.spawn(move || {
+            trigger(Box::new(move |response| {
+                let _ = entered_tx.send(response.status);
+                let _ = gate_rx.recv();
+            }))
+        });
+        let status = entered
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the blocking responder was called");
+        let (returned_tx, returned) = mpsc::channel();
+        scope.spawn(move || {
+            let _ticket = service.submit(probe);
+            let _ = returned_tx.send(());
+        });
+        let verdict = returned.recv_timeout(Duration::from_secs(5));
+        gate.send(())
+            .expect("the blocking responder is still waiting");
+        assert_eq!(status, expected);
+        assert!(
+            verdict.is_ok(),
+            "submit stalled behind a blocked {expected:?} responder"
+        );
+    });
+}
+
+#[test]
+fn a_blocked_responder_never_stalls_other_submitters() {
+    let spec = RequestSpec {
+        duplicate_fraction: 0.0,
+        ..RequestSpec::serve_replay(450)
+    };
+    let requests: Vec<GeneratedRequest> = spec.stream(6).collect();
+
+    // An `overloaded` rejection: the one-slot queue is already full.
+    let service = manual_service(1);
+    let _queued = service.submit(to_wire(&requests[0], None));
+    assert_submit_returns_while_a_responder_blocks(
+        &service,
+        ResponseStatus::Overloaded,
+        |respond| service.submit_with(to_wire(&requests[1], None), respond),
+        to_wire(&requests[2], None),
+    );
+    service.shutdown();
+
+    // A dequeue-time shed: the request's deadline passes while it is queued.
+    let service = manual_service(16);
+    assert_submit_returns_while_a_responder_blocks(
+        &service,
+        ResponseStatus::Shed,
+        |respond| {
+            service.submit_with(to_wire(&requests[3], Some(5.0)), respond);
+            std::thread::sleep(Duration::from_millis(20));
+            assert!(service.process_one());
+        },
+        to_wire(&requests[4], None),
+    );
+    service.shutdown();
+}
+
+#[test]
+fn unrepresentable_deadlines_are_invalid_and_negative_ones_unbounded() {
+    let engine = Arc::new(PortfolioEngine::default().with_threads(1));
+    let service = SolverService::start(
+        engine,
+        ServeConfig {
+            workers: 0,
+            default_deadline: Some(Duration::from_millis(1)),
+            ..ServeConfig::default()
+        },
+    );
+    let spec = RequestSpec {
+        duplicate_fraction: 0.0,
+        ..RequestSpec::serve_replay(550)
+    };
+    let requests: Vec<GeneratedRequest> = spec.stream(2).collect();
+
+    // No `Instant` lies 1e300 ms ahead: a typed rejection, not a panic.
+    let response = service.submit(to_wire(&requests[0], Some(1e300))).wait();
+    assert_eq!(response.status, ResponseStatus::Invalid);
+    assert!(response.error.is_some());
+    assert_eq!(service.queue_depth(), 0);
+
+    // A negative deadline still means none at all, not even the 1 ms
+    // default: the request outlives the default and is solved.
+    let unbounded = service.submit(to_wire(&requests[1], Some(-1.0)));
+    assert_eq!(service.queue_depth(), 1);
+    std::thread::sleep(Duration::from_millis(20));
+    assert!(service.process_one());
+    assert!(matches!(
+        unbounded.wait().status,
+        ResponseStatus::Ok | ResponseStatus::Infeasible
+    ));
+    assert_eq!(service.stats().solved, 1);
+    service.shutdown();
+}
+
+#[test]
 fn draining_service_rejects_new_requests_but_finishes_queued_work() {
     let service = manual_service(16);
-    // Distinct instances: a duplicate would be answered from the tenant
-    // shard before the draining check ever fires.
+    // Distinct instances: a duplicate would be answered from the engine's
+    // instance cache before the draining check ever fires.
     let spec = RequestSpec {
         duplicate_fraction: 0.0,
         ..RequestSpec::serve_replay(400)
@@ -208,7 +356,7 @@ fn engine_deadline_expiry_is_reported_and_not_cached() {
     // A deadline in the past: every runnable backend is shed before
     // dispatch and the outcome says so.
     let engine = PortfolioEngine::default().with_threads(1);
-    let expired = engine.solve_until(&instance, 1, Some(Instant::now() - Duration::from_secs(1)));
+    let expired = engine.solve_until(&instance, Some(Instant::now() - Duration::from_secs(1)));
     assert!(expired.deadline_expired);
     assert!(!expired.from_cache);
     assert!(
@@ -245,7 +393,6 @@ fn loopback_replay_of_a_seeded_1k_request_stream() {
             workers: 2,
             queue_capacity: 1024,
             default_deadline: Some(Duration::from_secs(30)),
-            ..ServeConfig::default()
         },
     ));
     let server = TcpServer::spawn(Arc::clone(&service), "127.0.0.1:0").expect("bind loopback");
@@ -307,7 +454,7 @@ fn loopback_replay_of_a_seeded_1k_request_stream() {
 
     // Duplicate requests (≥ 30% of the stream by construction) return
     // bit-identical solutions to their originals, whether they were
-    // coalesced, cache-answered, or re-solved through the engine cache.
+    // coalesced or answered from the engine's instance cache.
     let mut duplicates = 0;
     for request in &requests {
         if let Some(original_unique) = request.duplicate_of {
@@ -331,7 +478,7 @@ fn loopback_replay_of_a_seeded_1k_request_stream() {
     );
 
     // Duplicate traffic never pays for a fresh solve: it is coalesced onto
-    // an in-flight solve, answered from a tenant shard, or absorbed by the
+    // a queued or in-flight solve, or answered at admission from the
     // engine's instance cache — the response says which.
     let absorbed = responses
         .iter()
