@@ -23,10 +23,10 @@
 //! (winning `(j, q)` choices are recovered afterwards along the optimal path
 //! only, by bit-exact candidate re-scan). The pre-chunking scalar sweep is
 //! kept as a reference implementation ([`DpKernel::Scalar`], selected
-//! crate-wide by the `scalar-kernel` feature); the workspace property tests
-//! assert both kernels agree within `1e-12` — and reconstruct identical
-//! mappings — on hundreds of seeded instances, and `BENCH_kernel.json`
-//! tracks their relative speed.
+//! explicitly through [`reliability_dp_with_kernel`]); the workspace
+//! property tests assert both kernels agree within `1e-12` — and
+//! reconstruct identical mappings — on hundreds of seeded instances, and
+//! `BENCH_kernel.json` tracks their relative speed.
 //!
 //! All interval metrics come from the [`IntervalOracle`]; the DP tables are
 //! flat arenas indexed by `i·(p+1) + k` held in a reusable [`DpScratch`], so
@@ -91,21 +91,8 @@ pub enum DpKernel {
     #[default]
     Chunked,
     /// The scalar reference sweep (the pre-chunking implementation), kept for
-    /// equivalence tests and as the `scalar-kernel` feature's crate-wide
-    /// default.
+    /// equivalence tests.
     Scalar,
-}
-
-impl DpKernel {
-    /// The kernel the crate's solvers use: chunked, unless the
-    /// `scalar-kernel` feature selects the scalar reference path.
-    pub fn crate_default() -> Self {
-        if cfg!(feature = "scalar-kernel") {
-            DpKernel::Scalar
-        } else {
-            DpKernel::Chunked
-        }
-    }
 }
 
 /// Reusable state of the dynamic program: the flat value/traceback arenas,
@@ -190,7 +177,7 @@ pub(crate) fn reliability_dp(
         chain,
         platform,
         filter,
-        DpKernel::crate_default(),
+        DpKernel::Chunked,
         &mut scratch,
     )
 }
@@ -285,8 +272,7 @@ pub fn repair_reliability_dp_with_scratch(
     let p = oracle.num_processors();
     let bound = period_bound.unwrap_or(f64::INFINITY);
     let stride_prev = scratch.dp_stride;
-    let shape_ok = DpKernel::crate_default() == DpKernel::Chunked
-        && scratch.dp_rows == n + 1
+    let shape_ok = scratch.dp_rows == n + 1
         && stride_prev > p
         && scratch.f.len() == scratch.dp_rows * stride_prev;
     if !shape_ok || (stride_prev > p + 1 && keep_rows < n) {
@@ -295,7 +281,7 @@ pub fn repair_reliability_dp_with_scratch(
             chain,
             platform,
             period_bound,
-            DpKernel::crate_default(),
+            DpKernel::Chunked,
             scratch,
         )
         .map(|solution| (solution, WarmPath::Resolved));
@@ -724,8 +710,8 @@ fn recover_choice(
 
 /// The scalar reference sweep: the pre-chunking implementation, preserved
 /// verbatim (per-row factored exponent products computed inline, branchy
-/// per-`k` max-update). Used by the equivalence tests, the kernel benchmark,
-/// and the `scalar-kernel` feature.
+/// per-`k` max-update). Used by the equivalence tests and the kernel
+/// benchmark.
 fn scalar_sweep(oracle: &IntervalOracle, bound: f64, f: &mut [f64], choice: &mut [f64]) {
     let n = oracle.len();
     let p = oracle.num_processors();
@@ -856,7 +842,7 @@ pub fn optimize_reliability_homogeneous_with_scratch(
         chain,
         platform,
         DpFilter::All,
-        DpKernel::crate_default(),
+        DpKernel::Chunked,
         scratch,
     )
     .ok_or(AlgoError::NoFeasibleMapping)

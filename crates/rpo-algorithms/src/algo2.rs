@@ -87,7 +87,7 @@ pub fn optimize_with_period_bound_scratch(
         chain,
         platform,
         DpFilter::PeriodBound(period_bound),
-        DpKernel::crate_default(),
+        DpKernel::Chunked,
         scratch,
     )
     .ok_or(AlgoError::NoFeasibleMapping)

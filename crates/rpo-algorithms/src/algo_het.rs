@@ -38,17 +38,15 @@
 //!   ([`IntervalOracle::fill_pattern_block_row`] — multiplication-only on
 //!   classes passing the factored-exponent guard), walks the **compacted**
 //!   dense predecessor-state ranges precomputed per pattern
-//!   ([`Pattern::runs`], replacing the per-state index-list walk that
+//!   (`Pattern::runs`, replacing the per-state index-list walk that
 //!   defeats vectorization), and folds each range with a fixed-width
 //!   `[f64; 8]` value-only multiply-and-max **sweep**. Winning
 //!   `(j, pattern)` choices are recovered post hoc by bit-exact candidate
 //!   re-scan in sweep order, so its DP table and lowered mappings are
 //!   identical to the scalar kernel's.
 //! * The **scalar kernel** (the original per-state list walk with inline
-//!   choice recording) remains the differential reference, and is the
-//!   pinned default under the `scalar-kernel` feature. It also still runs
-//!   whenever a caller requests it explicitly through
-//!   [`class_dp_with_kernel`].
+//!   choice recording) remains the differential reference. It runs
+//!   whenever a caller requests it through [`class_dp_with_kernel`].
 //!
 //! Both kernels preserve the greedy-incumbent pruning cut, and both gather
 //! class blocks through the oracle's contiguous row fills
@@ -64,7 +62,8 @@
 //! This module optimizes reliability under a **period** bound only. The
 //! paper's full tri-criteria problem (a latency bound too — the case that
 //! makes the heterogeneous problem NP-complete) lives in
-//! [`crate::algo_het_lat`], which extends this DP in two regimes:
+//! [`crate::algo_het_lat`](mod@crate::algo_het_lat), which extends this DP
+//! in two regimes:
 //!
 //! * a **latency state**: because the worst-case latency is additive over
 //!   intervals with per-interval terms on the oracle's boundary-indexed
@@ -435,12 +434,11 @@ pub(crate) fn enumerate_patterns(
 /// No recorded choice sentinel of the DP's packed `(j, pattern)` traceback.
 const NO_CHOICE: u64 = u64::MAX;
 
-/// The exact class-level dynamic program, dispatched to the crate-default
-/// kernel: the chunked gather/compact/sweep kernel of [`crate::het_kernel`],
-/// or the scalar reference inner loop when the `scalar-kernel` feature pins
-/// it. Returns `None` when no mapping fits the bound (or everything was
-/// pruned below the greedy `incumbent` — in which case the caller's greedy
-/// solution is already optimal-or-equal).
+/// The exact class-level dynamic program on the chunked
+/// gather/compact/sweep kernel of [`crate::het_kernel`]. Returns `None`
+/// when no mapping fits the bound (or everything was pruned below the
+/// greedy `incumbent` — in which case the caller's greedy solution is
+/// already optimal-or-equal).
 fn class_dp(
     oracle: &IntervalOracle,
     chain: &TaskChain,
@@ -454,7 +452,7 @@ fn class_dp(
         platform,
         period_bound,
         incumbent,
-        DpKernel::crate_default(),
+        DpKernel::Chunked,
     )
 }
 
@@ -497,8 +495,7 @@ pub fn class_dp_with_kernel(
 }
 
 /// The scalar reference inner loop of the class DP (the original per-state
-/// list walk), kept as the chunked kernel's differential reference and the
-/// `scalar-kernel` feature's pinned implementation.
+/// list walk), kept as the chunked kernel's differential reference.
 ///
 /// The admissibility prelude and block-row gather are mirrored by
 /// `algo_het_lat`'s `label_dp` and `penalized_dp`, and by the chunked

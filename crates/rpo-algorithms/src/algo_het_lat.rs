@@ -193,7 +193,7 @@ pub fn algo_het_lat_with_oracle(
 
 /// [`algo_het_lat_with_oracle`] against caller-owned [`DpScratch`]: the
 /// label DP's per-state label vectors and per-class gather buffers live in
-/// the scratch's pooled arenas ([`HetLatArenas`]), so a batch driver that
+/// the scratch's pooled arenas (`HetLatArenas`), so a batch driver that
 /// reuses one scratch across latency-bounded solves stops churning
 /// allocations (reuse is visible through the
 /// `het_lat.label_pool.{hits,misses}` counters).
@@ -304,8 +304,9 @@ pub fn algo_het_lat_with_scratch(
 /// and Heur-P partitions for every interval count, each allocated with
 /// `alloc_het`, keeping the most reliable mapping whose worst-case period
 /// *and* latency fit the bounds — the latency-aware analogue of
-/// [`greedy_het_with_oracle`], and the comparison baseline of the
-/// `BENCH_het_lat.json` benchmark and the `--het-lat` experiment sweep.
+/// [`greedy_het_with_oracle`](crate::greedy_het_with_oracle), and the
+/// comparison baseline of the `BENCH_het_lat.json` benchmark and the
+/// `--het-lat` experiment sweep.
 ///
 /// # Errors
 ///

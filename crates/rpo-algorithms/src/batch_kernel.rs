@@ -70,7 +70,7 @@
 //! # Register-blocked fold
 //!
 //! The inner max-update is a register-blocked fold, chunk-outer and
-//! boundary-inner: a block of [`WIDE_BLOCK`] lane-wide state accumulators
+//! boundary-inner: a block of `WIDE_BLOCK` lane-wide state accumulators
 //! is loaded into vector registers once, *every* `(j, q)` candidate of the
 //! row is folded into the block, and it is stored once; per boundary, the
 //! `WIDE_BLOCK + 2` distinct predecessor windows are also loaded once and

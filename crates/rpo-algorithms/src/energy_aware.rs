@@ -103,7 +103,7 @@ fn prune_to_budget(
 /// # Errors
 ///
 /// * [`AlgoError::InvalidBound`] if the energy budget is not positive;
-/// * the errors of [`run_heuristic`];
+/// * the errors of [`run_heuristic`](crate::run_heuristic);
 /// * [`AlgoError::NoFeasibleMapping`] if no candidate fits all three budgets.
 pub fn run_energy_aware_heuristic(
     chain: &TaskChain,

@@ -52,9 +52,7 @@ impl ProfileSet {
     ///
     /// # Panics
     ///
-    /// Panics if the chain exceeds
-    /// [`MAX_EXHAUSTIVE_TASKS`](crate::exact::exhaustive::MAX_EXHAUSTIVE_TASKS)
-    /// tasks.
+    /// Panics if the chain exceeds [`MAX_EXHAUSTIVE_TASKS`] tasks.
     pub fn build(chain: &TaskChain, platform: &Platform) -> Result<Self> {
         let oracle = IntervalOracle::new(chain, platform);
         Self::build_with_oracle(&oracle, platform)
@@ -68,9 +66,7 @@ impl ProfileSet {
     ///
     /// # Panics
     ///
-    /// Panics if the chain exceeds
-    /// [`MAX_EXHAUSTIVE_TASKS`](crate::exact::exhaustive::MAX_EXHAUSTIVE_TASKS)
-    /// tasks.
+    /// Panics if the chain exceeds [`MAX_EXHAUSTIVE_TASKS`] tasks.
     pub fn build_with_oracle(oracle: &IntervalOracle, platform: &Platform) -> Result<Self> {
         debug_assert!(
             oracle.num_processors() == platform.num_processors(),

@@ -1,6 +1,6 @@
 //! The chunked kernel of the heterogeneous class DP: the gather/compact/
 //! sweep treatment of [`crate::algo1`]'s lane-chunked kernel, applied to
-//! [`crate::algo_het`]'s budget-state recurrence.
+//! [`crate::algo_het`](mod@crate::algo_het)'s budget-state recurrence.
 //!
 //! The scalar class DP walks, per `(boundary j, pattern q)` transition, the
 //! pattern's `valid_predecessors` index list — a gather-scatter loop whose
@@ -24,12 +24,12 @@
 //! 2. **Compact** — the DP table is stored **state-major** (`f[s][0..=n]`
 //!    contiguous per budget state), and the valid predecessor states of
 //!    each pattern are precomputed once per solve as dense `(start, len)`
-//!    mixed-radix ranges ([`Pattern::runs`]). Together they turn every
+//!    mixed-radix ranges (`Pattern::runs`). Together they turn every
 //!    `(pattern, state)` transition into two contiguous same-length rows:
 //!    the predecessor's boundary row and the pattern's gathered
 //!    reliability row.
 //! 3. **Sweep** — one value-only multiply-and-max *reduction* along the
-//!    boundary axis per `(pattern, state)` pair ([`col_max_mul`]), in
+//!    boundary axis per `(pattern, state)` pair (`col_max_mul`), in
 //!    fixed-width `[f64; 8]` accumulator chunks (plain multiply-and-select
 //!    bodies LLVM auto-vectorizes). The reduction length is the admissible
 //!    boundary span — tens to hundreds of lanes-worth of work, not a
@@ -50,9 +50,10 @@
 //! and taking the first bit-exact equality with the state's final value —
 //! the same first-winner the scalar kernel's strict-improvement updates
 //! record, so the recovered segments (and the lowered mapping) are
-//! identical. The scalar path stays available behind the `scalar-kernel`
-//! feature as the differential reference; `tests/het.rs` asserts the
-//! equivalence on seeded random instances.
+//! identical. The scalar path stays available through
+//! [`class_dp_with_kernel`](crate::class_dp_with_kernel) as the differential
+//! reference; `tests/het.rs` asserts the equivalence on seeded random
+//! instances.
 
 use rpo_model::{assignment_from_segments, IntervalOracle, Platform, TaskChain};
 

@@ -15,13 +15,13 @@
 //!     recurrence over many same-shape instances in lockstep, one instance
 //!     per SIMD lane.
 //! * **Heterogeneous solvers**
-//!   * [`algo_het`] — exact reliability optimization by class-level dynamic
-//!     programming (tractable whenever the platform has few distinct
-//!     processor classes; greedy fallback otherwise);
+//!   * [`algo_het`](mod@algo_het) — exact reliability optimization by
+//!     class-level dynamic programming (tractable whenever the platform has
+//!     few distinct processor classes; greedy fallback otherwise);
 //!   * [`het_kernel`] — the chunked gather/compact/sweep kernel behind
-//!     `algo_het`'s class DP (the scalar inner loop stays available behind
-//!     the `scalar-kernel` feature as the differential reference);
-//!   * [`algo_het_lat`] — the tri-criteria extension: exact reliability
+//!     `algo_het`'s class DP (the scalar inner loop stays available as the
+//!     differential reference);
+//!   * [`algo_het_lat`](mod@algo_het_lat) — the tri-criteria extension: exact reliability
 //!     optimization under period **and latency** bounds, by a label DP over
 //!     `(boundary, budgets, latency-so-far)` states with a Lagrangian
 //!     penalty sweep as fallback;
@@ -90,10 +90,8 @@ pub use heuristic::{
     run_heuristic, run_heuristic_with_oracle, HeuristicConfig, HeuristicSolution, IntervalHeuristic,
 };
 pub use period_opt::{
-    minimize_period_batch, minimize_period_with_reliability_bound,
-    minimize_period_with_reliability_bound_with_oracle,
+    minimize_period_with_reliability_bound, minimize_period_with_reliability_bound_with_oracle,
     minimize_period_with_reliability_bound_with_scratch, repair_minimize_period_with_scratch,
-    PeriodLane,
 };
 
 /// Errors reported by the algorithms of this crate.

@@ -7,25 +7,12 @@
 //! (an interval computation time `W(i..j)/s` or a communication time
 //! `o_i / b`), so the search is performed over that sorted candidate set and
 //! returns a certified optimum.
-//!
-//! At batch scale, [`minimize_period_batch`] runs **many instances' binary
-//! searches lane-parallel**: each round gathers every unconverged lane's
-//! next probe period and dispatches them as one SoA mega-kernel batch
-//! ([`crate::batch_kernel`]) with per-lane period bounds — the probe DPs of
-//! up to [`crate::LANES`](crate::algo1::LANES) searches run in lockstep
-//! instead of serially. Converged lanes are masked simply by not being
-//! repacked into the next round. Because the batch kernel is bit-identical
-//! to the per-instance chunked DP, every lane's probe sequence, certified
-//! period and mapping are exactly those of the scalar search.
-
-use std::collections::HashMap;
 
 use rpo_model::{IntervalOracle, Mapping, Platform, TaskChain};
 use serde::{Deserialize, Serialize};
 
 use crate::algo1::DpScratch;
 use crate::algo2::optimize_with_period_bound_scratch;
-use crate::batch_kernel::{solve_batch, BatchLane, BatchScratch};
 use crate::{AlgoError, Result};
 
 /// Result of the period minimization.
@@ -187,185 +174,6 @@ pub fn minimize_period_with_reliability_bound_with_scratch(
         mapping: best.mapping,
         reliability: best.reliability,
     })
-}
-
-/// One lane of a batched period minimization: an instance (prebuilt oracle,
-/// the chain and platform it came from) and its reliability bound.
-#[derive(Debug, Clone, Copy)]
-pub struct PeriodLane<'a> {
-    /// The instance's prebuilt interval oracle.
-    pub oracle: &'a IntervalOracle,
-    /// The task chain the oracle was built from.
-    pub chain: &'a TaskChain,
-    /// The (homogeneous) platform the oracle was built from.
-    pub platform: &'a Platform,
-    /// The reliability bound the minimized period must respect.
-    pub reliability_bound: f64,
-}
-
-/// The live binary-search state of one batched lane.
-struct LaneSearch {
-    /// The lane's sorted candidate-period ladder.
-    candidates: Vec<f64>,
-    lo: usize,
-    hi: usize,
-    /// Whether the initial largest-candidate feasibility probe has landed.
-    primed: bool,
-    /// Best feasible solution seen so far (the certified answer once the
-    /// bracket closes).
-    best: Option<crate::algo1::OptimalMapping>,
-}
-
-impl LaneSearch {
-    /// The candidate index the lane probes next: the ladder top until the
-    /// lane is primed, then the binary-search midpoint.
-    fn next_probe(&self) -> usize {
-        if self.primed {
-            (self.lo + self.hi) / 2
-        } else {
-            self.candidates.len() - 1
-        }
-    }
-}
-
-/// Lane-parallel period minimization: runs every lane's candidate-ladder
-/// binary search (the exact search of
-/// [`minimize_period_with_reliability_bound_with_scratch`]) through the SoA
-/// mega-kernel, one probe round at a time. Each round repacks the
-/// unconverged lanes — grouped by the kernel's `(p, k_max)` near-shape, with
-/// **per-lane probe periods** as the lanes' Algorithm 2 bounds — into
-/// [`solve_batch`] calls through the shared `scratch`; a converged lane is
-/// masked by simply not being repacked. Task counts may differ within a
-/// group (the kernel pads shorter lanes), so a mixed-size stream still fills
-/// wide rounds.
-///
-/// Returns each lane's result in input order. Because the batch kernel is
-/// bit-identical to the per-instance chunked DP, every lane's probe
-/// sequence, certified period, mapping and reliability are exactly those of
-/// the scalar search — the workspace differential suite asserts it.
-///
-/// # Errors
-///
-/// Per lane, same as [`minimize_period_with_reliability_bound`].
-pub fn minimize_period_batch(
-    lanes: &[PeriodLane<'_>],
-    scratch: &mut BatchScratch,
-) -> Vec<Result<PeriodOptimal>> {
-    let mut results: Vec<Option<Result<PeriodOptimal>>> = (0..lanes.len()).map(|_| None).collect();
-    let mut searches: Vec<Option<LaneSearch>> = (0..lanes.len()).map(|_| None).collect();
-    for (idx, lane) in lanes.iter().enumerate() {
-        crate::debug_assert_oracle_matches(lane.oracle, lane.chain, lane.platform);
-        if !lane.oracle.is_homogeneous() {
-            results[idx] = Some(Err(AlgoError::HeterogeneousPlatform));
-            continue;
-        }
-        let bound = lane.reliability_bound;
-        if !(bound.is_finite() && bound > 0.0 && bound <= 1.0) {
-            results[idx] = Some(Err(AlgoError::InvalidBound("reliability bound")));
-            continue;
-        }
-        let candidates = candidate_periods(lane.oracle, lane.platform.speed(0));
-        searches[idx] = Some(LaneSearch {
-            lo: 0,
-            hi: candidates.len() - 1,
-            candidates,
-            primed: false,
-            best: None,
-        });
-    }
-
-    loop {
-        // Collect the unconverged lanes and group them by the kernel's
-        // near-shape key; every group runs this round's probes in lockstep.
-        let live: Vec<usize> = (0..lanes.len())
-            .filter(|&idx| searches[idx].is_some())
-            .collect();
-        if live.is_empty() {
-            break;
-        }
-        rpo_obs::counter!("period_opt.batch_probes").inc();
-        rpo_obs::counter!("period_opt.probes").add(live.len() as u64);
-        let mut groups: HashMap<(usize, usize), Vec<usize>> = HashMap::new();
-        for &idx in &live {
-            let p = lanes[idx].oracle.num_processors();
-            let k_max = lanes[idx].oracle.max_replication().min(p);
-            groups.entry((p, k_max)).or_default().push(idx);
-        }
-        for group in groups.values() {
-            let batch: Vec<BatchLane> = group
-                .iter()
-                .map(|&idx| {
-                    let search = searches[idx].as_ref().expect("live lanes are searching");
-                    BatchLane {
-                        oracle: lanes[idx].oracle,
-                        chain: lanes[idx].chain,
-                        platform: lanes[idx].platform,
-                        period_bound: Some(search.candidates[search.next_probe()]),
-                    }
-                })
-                .collect();
-            let solutions = solve_batch(&batch, scratch);
-            for (&idx, solution) in group.iter().zip(solutions) {
-                let resolved: Option<Result<PeriodOptimal>> = {
-                    let search = searches[idx].as_mut().expect("live lanes are searching");
-                    // Feasible = the probe DP found a mapping meeting the
-                    // lane's reliability bound (the scalar search's test).
-                    let feasible =
-                        solution.filter(|s| s.reliability >= lanes[idx].reliability_bound);
-                    if !search.primed {
-                        search.primed = true;
-                        match feasible {
-                            // The largest candidate admits every interval:
-                            // an infeasible lane can never meet its bound.
-                            None => Some(Err(AlgoError::NoFeasibleMapping)),
-                            Some(solution) => {
-                                search.best = Some(solution);
-                                search.finished()
-                            }
-                        }
-                    } else {
-                        let mid = (search.lo + search.hi) / 2;
-                        match feasible {
-                            Some(solution) => {
-                                search.best = Some(solution);
-                                search.hi = mid;
-                            }
-                            None => search.lo = mid + 1,
-                        }
-                        search.finished()
-                    }
-                };
-                if let Some(result) = resolved {
-                    results[idx] = Some(result);
-                    searches[idx] = None;
-                }
-            }
-        }
-    }
-
-    results
-        .into_iter()
-        .map(|result| result.expect("every lane resolves to a result"))
-        .collect()
-}
-
-impl LaneSearch {
-    /// The lane's certified result once its bracket has closed, `None`
-    /// while the search is still live.
-    fn finished(&mut self) -> Option<Result<PeriodOptimal>> {
-        if self.lo < self.hi {
-            return None;
-        }
-        let best = self
-            .best
-            .take()
-            .expect("a closed bracket holds a feasible incumbent");
-        Some(Ok(PeriodOptimal {
-            period: self.candidates[self.hi],
-            mapping: best.mapping,
-            reliability: best.reliability,
-        }))
-    }
 }
 
 /// Warm-started period re-minimization after a platform or workload delta:
@@ -593,117 +401,6 @@ mod tests {
             assert_eq!(fast.period, reference.0, "bound {bound}");
             assert!((fast.reliability - reference.1).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn batched_search_matches_the_scalar_search_lane_for_lane() {
-        // Four lanes of *different* chain lengths over the same platform
-        // shape, with a spread of reliability bounds: the lane-parallel
-        // search must certify the same period, mapping and reliability as
-        // the scalar binary search on every lane.
-        let chains = [
-            chain(),
-            TaskChain::from_pairs(&[(12.0, 1.0), (48.0, 4.0), (19.0, 6.0)]).unwrap(),
-            TaskChain::from_pairs(&[
-                (5.0, 9.0),
-                (5.0, 9.0),
-                (80.0, 0.5),
-                (11.0, 7.0),
-                (33.0, 2.5),
-            ])
-            .unwrap(),
-            TaskChain::from_pairs(&[(60.0, 2.0), (7.0, 3.0), (22.0, 1.5), (18.0, 0.5)]).unwrap(),
-        ];
-        let p = platform(6, 3);
-        let oracles: Vec<IntervalOracle> =
-            chains.iter().map(|c| IntervalOracle::new(c, &p)).collect();
-        let bounds = [0.5, 0.9, 0.95, 0.99];
-        let lanes: Vec<PeriodLane> = (0..chains.len())
-            .map(|idx| PeriodLane {
-                oracle: &oracles[idx],
-                chain: &chains[idx],
-                platform: &p,
-                reliability_bound: bounds[idx],
-            })
-            .collect();
-        let mut scratch = BatchScratch::new();
-        let batched = minimize_period_batch(&lanes, &mut scratch);
-        for (idx, lane) in lanes.iter().enumerate() {
-            let scalar = minimize_period_with_reliability_bound_with_oracle(
-                lane.oracle,
-                lane.chain,
-                lane.platform,
-                lane.reliability_bound,
-            )
-            .unwrap();
-            let batched = batched[idx].as_ref().unwrap();
-            assert_eq!(batched.period, scalar.period, "lane {idx}");
-            assert_eq!(batched.reliability, scalar.reliability, "lane {idx}");
-            assert_eq!(batched.mapping, scalar.mapping, "lane {idx}");
-        }
-    }
-
-    #[test]
-    fn batched_search_reports_per_lane_errors_in_input_order() {
-        let c = chain();
-        let hom = platform(6, 3);
-        let het = PlatformBuilder::new()
-            .processor(1.0, 1e-3)
-            .processor(2.0, 1e-4)
-            .bandwidth(1.0)
-            .link_failure_rate(1e-4)
-            .max_replication(2)
-            .build()
-            .unwrap();
-        let single = platform(1, 1);
-        let unconstrained = crate::optimize_reliability_homogeneous(&c, &single)
-            .unwrap()
-            .reliability;
-        let oracle_hom = IntervalOracle::new(&c, &hom);
-        let oracle_het = IntervalOracle::new(&c, &het);
-        let oracle_single = IntervalOracle::new(&c, &single);
-        let lanes = [
-            // Fine lane, heterogeneous lane, invalid bound, unreachable bound.
-            PeriodLane {
-                oracle: &oracle_hom,
-                chain: &c,
-                platform: &hom,
-                reliability_bound: 0.9,
-            },
-            PeriodLane {
-                oracle: &oracle_het,
-                chain: &c,
-                platform: &het,
-                reliability_bound: 0.9,
-            },
-            PeriodLane {
-                oracle: &oracle_hom,
-                chain: &c,
-                platform: &hom,
-                reliability_bound: 1.5,
-            },
-            PeriodLane {
-                oracle: &oracle_single,
-                chain: &c,
-                platform: &single,
-                reliability_bound: (unconstrained + 1.0) / 2.0,
-            },
-        ];
-        let mut scratch = BatchScratch::new();
-        let results = minimize_period_batch(&lanes, &mut scratch);
-        assert!(results[0].is_ok());
-        assert_eq!(
-            results[1].as_ref().unwrap_err(),
-            &AlgoError::HeterogeneousPlatform
-        );
-        assert_eq!(
-            results[2].as_ref().unwrap_err(),
-            &AlgoError::InvalidBound("reliability bound")
-        );
-        assert_eq!(
-            results[3].as_ref().unwrap_err(),
-            &AlgoError::NoFeasibleMapping
-        );
     }
 
     #[test]

@@ -72,8 +72,7 @@ fn portfolio_batch(c: &mut Criterion) {
             |b, &count| {
                 b.iter(|| {
                     // Fresh engine per iteration: measure cold-cache streaming.
-                    let engine =
-                        PortfolioEngine::new(default_backends(), Budget::default()).with_threads(1);
+                    let engine = PortfolioEngine::new(default_backends(), Budget::default());
                     let driver = BatchDriver::new(BatchConfig {
                         bounds: BoundsPolicy {
                             period_slack: 1.6,

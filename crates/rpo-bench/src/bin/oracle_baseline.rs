@@ -972,16 +972,11 @@ fn run_sharing_batch(share_oracles: bool) -> SharingSummary {
     let mut summaries: Vec<SharingSummary> = (0..SHARING_REPS)
         .map(|_| {
             // Fresh engine per repetition (the instance cache must not answer
-            // repeats). Single-threaded solves + instance-level batch
-            // parallelism: the batch driver divides its worker budget by the
-            // engine's per-solve threads, so threads(1) gives one inline
-            // (spawn-free) solve per batch worker.
+            // repeats).
             let engine = if share_oracles {
-                PortfolioEngine::default().with_threads(1)
-            } else {
                 PortfolioEngine::default()
-                    .with_threads(1)
-                    .with_oracle_cache_capacity(0)
+            } else {
+                PortfolioEngine::default().with_oracle_cache_capacity(0)
             };
             let driver = BatchDriver::new(BatchConfig::default());
             let report = driver.run_instances(&engine, near_duplicate_instances());
@@ -1003,7 +998,7 @@ fn run_sharing_batch(share_oracles: bool) -> SharingSummary {
 }
 
 fn run_batch() -> BatchSummary {
-    let engine = PortfolioEngine::default().with_threads(1);
+    let engine = PortfolioEngine::default();
     let driver = BatchDriver::new(BatchConfig {
         bounds: BoundsPolicy::default(),
         ..BatchConfig::default()
@@ -1098,7 +1093,7 @@ fn overhead_throughput(enabled: bool) -> f64 {
     rpo_obs::set_enabled(enabled);
     let mut samples: Vec<f64> = (0..OVERHEAD_REPS)
         .map(|_| {
-            let engine = PortfolioEngine::default().with_threads(1);
+            let engine = PortfolioEngine::default();
             let driver = BatchDriver::new(BatchConfig::default());
             let generator = InstanceGenerator::paper_homogeneous(0x0AC1E);
             let report = driver.run(&engine, generator.stream(BATCH_INSTANCES));

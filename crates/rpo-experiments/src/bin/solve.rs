@@ -218,7 +218,7 @@ fn run_batch(count: usize, obs: &ObsArgs) -> Result<String, String> {
     } else {
         InstanceGenerator::paper_homogeneous(obs.seed)
     };
-    let engine = PortfolioEngine::default().with_threads(1);
+    let engine = PortfolioEngine::default();
     let mut config = BatchConfig {
         heterogeneous: obs.heterogeneous,
         bucketed: obs.bucketed,
@@ -244,10 +244,7 @@ fn run_repair(count: usize, obs: &ObsArgs) -> Result<String, String> {
     } else {
         InstanceGenerator::paper_homogeneous(obs.seed)
     };
-    let mut batch = BatchConfig {
-        heterogeneous: obs.heterogeneous,
-        ..BatchConfig::default()
-    };
+    let mut batch = BatchConfig::default();
     if let Some(workers) = obs.workers {
         batch.workers = workers.max(1);
     }
@@ -269,7 +266,7 @@ fn run_repair(count: usize, obs: &ObsArgs) -> Result<String, String> {
         heterogeneous: obs.heterogeneous,
         period_bound: None,
     };
-    let report = BatchDriver::default().run_churn(&batch, &config, generator.stream(count));
+    let report = BatchDriver::new(batch).run_churn(&config, generator.stream(count));
     if let Some(path) = &obs.report_json {
         let json = serde_json::to_string_pretty(&report)
             .map_err(|error| format!("failed to serialize report: {error}"))?;

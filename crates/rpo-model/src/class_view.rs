@@ -16,7 +16,7 @@
 //! * the **per-class factored exponent prefixes** `exp(−ρ_c W_i)` /
 //!   `exp(ρ_c W_j)` over the chain's work prefix, which turn per-interval
 //!   reliabilities into pure multiplications (guarded by
-//!   [`FACTORED_EXPONENT_LIMIT`], with exact fallback);
+//!   `FACTORED_EXPONENT_LIMIT`, with exact fallback);
 //! * the [`ClassAssignment`]: a per-interval vector of per-class replica
 //!   counts — the class-level description of a mapping — together with its
 //!   deterministic lowering to a concrete [`Mapping`].

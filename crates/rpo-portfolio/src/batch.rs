@@ -11,7 +11,6 @@ use rpo_obs::MetricsSnapshot;
 use rpo_workload::ExperimentInstance;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -67,61 +66,25 @@ impl BoundsPolicy {
     }
 }
 
-/// How the driver divides its thread budget between instance-level and
-/// per-solve (backend-level) parallelism.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ThreadSplit {
-    /// Fixed division: worker count = `workers / engine.threads()`, every
-    /// solve uses the engine's per-solve thread count. (The pre-adaptive
-    /// behavior.)
-    Static,
-    /// Decided **per instance at dispatch time**: instances whose DP volume
-    /// `n² · p` is at most the threshold solve inline single-threaded
-    /// (spawn-free) under full instance-level width; larger instances get
-    /// the engine's per-solve parallelism instead. Small instances dominate
-    /// paper-scale batches, so this recovers the wide `threads(1)`
-    /// configuration automatically while still parallelizing the occasional
-    /// big solve. Concurrent deep solves are bounded by permits
-    /// (`workers / engine.threads()`), so a batch of *only* large instances
-    /// degrades to roughly the static division instead of oversubscribing.
-    Adaptive {
-        /// Largest `n² · p` still considered a small instance.
-        small_volume: usize,
-    },
-}
-
-impl Default for ThreadSplit {
-    /// Adaptive, with the cutover placed between paper-scale instances
-    /// (`15² · 10 ≈ 2×10³`) and the bench's large ones (`100² · 20 = 2×10⁵`).
-    fn default() -> Self {
-        ThreadSplit::Adaptive {
-            small_volume: 100_000,
-        }
-    }
-}
-
 /// Batch driver configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchConfig {
-    /// Thread budget for the batch. How it is divided between instance-level
-    /// and per-solve parallelism is decided by [`BatchConfig::split`].
+    /// Worker threads. Each solves one instance at a time on its own thread,
+    /// whatever [`PortfolioEngine::with_threads`] is set to.
     pub workers: usize,
     /// Bound derivation policy.
     pub bounds: BoundsPolicy,
     /// Solve each instance on its heterogeneous platform instead of the
     /// homogeneous one.
     pub heterogeneous: bool,
-    /// Thread-split policy (static division vs per-instance adaptive).
-    pub split: ThreadSplit,
     /// Shape-bucket the ingress stream through the batched SoA mega-kernel:
     /// homogeneous instances of the same `(n, p, k_max, class signature)`
     /// shape are grouped and their Algo-1/Algo-2 DP runs in lockstep, one
-    /// instance per SIMD lane; every other backend still races per instance
-    /// ([`PortfolioEngine::solve_with_precomputed`]). Heterogeneous or
-    /// otherwise ineligible instances take the per-instance path as the
-    /// remainder loop. Off by default: bucketing pays off on streams with
-    /// many same-shape instances, and delays answers until a bucket fills
-    /// (or the stream ends).
+    /// instance per SIMD lane; every other backend still races per instance.
+    /// Heterogeneous or otherwise ineligible instances take the per-instance
+    /// path as the remainder loop. Off by default: bucketing pays off on
+    /// streams with many same-shape instances, and delays answers until a
+    /// bucket fills (or the stream ends).
     pub bucketed: bool,
 }
 
@@ -133,7 +96,6 @@ impl Default for BatchConfig {
                 .unwrap_or(1),
             bounds: BoundsPolicy::default(),
             heterogeneous: false,
-            split: ThreadSplit::default(),
             bucketed: false,
         }
     }
@@ -190,22 +152,6 @@ pub struct BatchReport {
     /// reused a pooled DP arena from an earlier instance (allocation reuse
     /// only; admissibility data stays per-instance).
     pub scratch_pool: CacheStats,
-    /// Instances the adaptive split solved inline single-threaded under
-    /// wide instance-level parallelism — small instances, plus large ones
-    /// that found all deep permits taken (0 under [`ThreadSplit::Static`]).
-    pub wide_solves: usize,
-    /// Instances the adaptive split handed per-solve parallelism
-    /// (0 under [`ThreadSplit::Static`]).
-    pub deep_solves: usize,
-    /// Peak number of concurrently committed solver threads across the
-    /// batch (each in-flight solve counts its per-solve thread width).
-    /// Adaptive deep solves are sized by the live commitment at dispatch
-    /// ([`deep_solve_width`]), so a deep solve dispatched into a busy batch
-    /// only ever receives the idle capacity — the peak stays below
-    /// `2 × workers` (exactly: `2 × workers − permits`) regardless of the
-    /// engine's configured per-solve thread count, and transient spikes
-    /// shrink towards `workers` as the batch fills up.
-    pub max_committed_threads: usize,
     /// Shape buckets dispatched through the SoA mega-kernel — full
     /// `LANES`-wide buckets plus the partial ones flushed at stream end
     /// (0 when bucketing is off).
@@ -235,28 +181,12 @@ pub struct BatchReport {
     pub metrics: MetricsSnapshot,
 }
 
-/// Width of a deep solve dispatched while `committed` solver threads are
-/// already live across the batch: the engine's per-solve thread count,
-/// shrunk to the idle capacity `workers − committed` (plus the dispatching
-/// worker's own slot), never below an inline solve. Sizing by the *live*
-/// commitment — instead of handing every deep solve the full per-solve
-/// width — bounds the batch's transient oversubscription: a deep solve
-/// dispatched into a busy batch degrades towards an inline solve instead of
-/// stacking a full thread team on top of the busy workers.
-pub(crate) fn deep_solve_width(deep_threads: usize, workers: usize, committed: usize) -> usize {
-    deep_threads
-        .min(workers.saturating_sub(committed) + 1)
-        .max(1)
-}
-
 /// Worker-local batch accounting, folded into the shared tally at the end.
 #[derive(Default)]
 struct Tally {
     count: usize,
     feasible: usize,
     cache_answered: usize,
-    wide: usize,
-    deep: usize,
     buckets: usize,
     bucketed: usize,
     padded: usize,
@@ -336,8 +266,8 @@ fn bucket_key(instance: &ProblemInstance) -> Option<u64> {
 /// Dispatches one shape bucket: the SoA mega-kernel solves the Algo-1 DP
 /// (all lanes unbounded) and, where period bounds are finite, the Algo-2 DP
 /// (actual per-lane bounds) for every instance at once; each instance then
-/// finishes through [`PortfolioEngine::solve_with_precomputed`], which
-/// re-certifies the lane results and races the remaining backends.
+/// finishes through an inline engine solve that re-certifies the lane
+/// results and races the remaining backends.
 fn solve_bucket(
     engine: &PortfolioEngine,
     instances: &[ProblemInstance],
@@ -413,7 +343,7 @@ fn solve_bucket(
             precomputed.push(("Algo-2", candidates(algo2_result, "Algo-2")));
         }
         let solve_start = Instant::now();
-        let outcome = engine.solve_with_precomputed(instance, 1, precomputed);
+        let outcome = engine.solve_inline(instance, precomputed);
         rpo_obs::histogram!("batch.solve").record(solve_start.elapsed());
         record_outcome(local, &outcome);
         local.bucketed += 1;
@@ -464,14 +394,10 @@ impl std::fmt::Display for BatchReport {
         )?;
         writeln!(
             f,
-            "scratch pool: {} hits / {} misses ({:.0}% hit rate); split: {} wide / {} deep \
-             (peak {} committed threads)",
+            "scratch pool: {} hits / {} misses ({:.0}% hit rate)",
             self.scratch_pool.hits,
             self.scratch_pool.misses,
             100.0 * self.scratch_pool.hit_ratio(),
-            self.wide_solves,
-            self.deep_solves,
-            self.max_committed_threads,
         )?;
         if self.buckets_dispatched > 0 || self.remainder_solves > 0 {
             writeln!(
@@ -507,10 +433,13 @@ impl std::fmt::Display for BatchReport {
 }
 
 /// Streams instances through a [`PortfolioEngine`] with a pool of worker
-/// threads pulling from a shared queue.
+/// threads pulling from a shared queue. Each worker solves one instance at
+/// a time on its own thread, whatever [`PortfolioEngine::with_threads`] is
+/// set to: across a batch, instance-level parallelism alone fills the
+/// workers.
 #[derive(Default)]
 pub struct BatchDriver {
-    config: BatchConfig,
+    pub(crate) config: BatchConfig,
 }
 
 impl BatchDriver {
@@ -559,31 +488,7 @@ impl BatchDriver {
         // snapshot the global registry now and export the delta at the end.
         let metrics_base = rpo_obs::global().snapshot();
         let start = Instant::now();
-        // Divide the thread budget between instance-level parallelism
-        // (workers here) and backend-level parallelism (engine threads).
-        // Static split divides up front; the adaptive split keeps the full
-        // width and decides the per-solve thread count per instance.
-        let workers = match self.config.split {
-            ThreadSplit::Static => (self.config.workers / engine.threads().max(1)).max(1),
-            ThreadSplit::Adaptive { .. } => self.config.workers.max(1),
-        };
-        let split = self.config.split;
-        let deep_threads = engine.threads().max(1).min(self.config.workers.max(1));
-        // Adaptive mode keeps the full instance-level width, so concurrent
-        // deep solves could oversubscribe by workers × deep_threads. Bound
-        // them with permits: at most workers/deep_threads solves run deep at
-        // once; a large instance that cannot get a permit falls back to an
-        // inline solve. On top of the permits, each deep solve is sized by
-        // the **live thread commitment** at dispatch (`deep_solve_width`):
-        // `committed` sums the per-solve width of every in-flight solve, and
-        // a deep solve only receives the idle capacity — so the peak
-        // commitment (reported as `max_committed_threads`) stays below
-        // `2 × workers` and a deep solve landing on a busy batch degrades
-        // towards an inline solve instead of stacking a full thread team on
-        // top of the busy workers.
-        let deep_permits = AtomicUsize::new((workers / deep_threads).max(1));
-        let committed = AtomicUsize::new(0);
-        let peak_committed = AtomicUsize::new(0);
+        let workers = self.config.workers.max(1);
         let source = Mutex::new(instances);
         let bucketed_mode = self.config.bucketed;
         // Shape buckets filling towards LANES-wide mega-kernel dispatches,
@@ -632,62 +537,7 @@ impl BatchDriver {
                             rpo_obs::counter!("dp.batch.remainder_solves").inc();
                         }
                         let solve_start = Instant::now();
-                        // Commit `width` solver threads for the duration of
-                        // one solve, recording the batch-wide peak.
-                        let commit = |width: usize| {
-                            let now = committed.fetch_add(width, Ordering::AcqRel) + width;
-                            peak_committed.fetch_max(now, Ordering::AcqRel);
-                        };
-                        let outcome = match split {
-                            ThreadSplit::Static => {
-                                commit(engine.threads().max(1));
-                                let outcome = engine.solve(&instance);
-                                committed.fetch_sub(engine.threads().max(1), Ordering::AcqRel);
-                                outcome
-                            }
-                            ThreadSplit::Adaptive { small_volume } => {
-                                // DP volume n²·p decides the split: small
-                                // instances run inline single-threaded (the
-                                // whole width stays instance-level), large
-                                // ones get backend-level parallelism.
-                                let n = instance.chain.len();
-                                let volume = n * n * instance.platform.num_processors();
-                                let permit = volume > small_volume
-                                    && deep_permits
-                                        .fetch_update(Ordering::AcqRel, Ordering::Acquire, |p| {
-                                            p.checked_sub(1)
-                                        })
-                                        .is_ok();
-                                if permit {
-                                    local.deep += 1;
-                                    // Size the deep solve by the live
-                                    // occupancy at dispatch, not the
-                                    // engine's full per-solve width. Sizing
-                                    // and reservation are one atomic update,
-                                    // so two concurrent deep dispatches
-                                    // cannot both claim the same idle
-                                    // capacity.
-                                    let mut width = 0;
-                                    let prev = committed
-                                        .fetch_update(Ordering::AcqRel, Ordering::Acquire, |c| {
-                                            width = deep_solve_width(deep_threads, workers, c);
-                                            Some(c + width)
-                                        })
-                                        .expect("unconditional update cannot fail");
-                                    peak_committed.fetch_max(prev + width, Ordering::AcqRel);
-                                    let outcome = engine.solve_with_threads(&instance, width);
-                                    committed.fetch_sub(width, Ordering::AcqRel);
-                                    deep_permits.fetch_add(1, Ordering::AcqRel);
-                                    outcome
-                                } else {
-                                    local.wide += 1;
-                                    commit(1);
-                                    let outcome = engine.solve_with_threads(&instance, 1);
-                                    committed.fetch_sub(1, Ordering::AcqRel);
-                                    outcome
-                                }
-                            }
-                        };
+                        let outcome = engine.solve_inline(&instance, Vec::new());
                         rpo_obs::histogram!("batch.solve").record(solve_start.elapsed());
                         record_outcome(&mut local, &outcome);
                     }
@@ -716,8 +566,6 @@ impl BatchDriver {
                     shared.count += local.count;
                     shared.feasible += local.feasible;
                     shared.cache_answered += local.cache_answered;
-                    shared.wide += local.wide;
-                    shared.deep += local.deep;
                     shared.buckets += local.buckets;
                     shared.bucketed += local.bucketed;
                     shared.padded += local.padded;
@@ -749,9 +597,6 @@ impl BatchDriver {
             cache: engine.cache_stats(),
             oracle_cache: engine.oracle_cache_stats(),
             scratch_pool: engine.scratch_pool_stats(),
-            wide_solves: tally.wide,
-            deep_solves: tally.deep,
-            max_committed_threads: peak_committed.into_inner(),
             buckets_dispatched: tally.buckets,
             bucketed_instances: tally.bucketed,
             padded_lanes: tally.padded,
@@ -775,7 +620,6 @@ mod tests {
             workers: 2,
             bounds: BoundsPolicy::default(),
             heterogeneous: false,
-            split: ThreadSplit::default(),
             bucketed: false,
         });
         let generator = InstanceGenerator::paper_homogeneous(2024);
@@ -791,10 +635,6 @@ mod tests {
             total_wins,
             report.feasible_instances - report.cache_answered
         );
-        // Paper-scale instances are all "small": the adaptive split solves
-        // every one inline single-threaded.
-        assert_eq!(report.wide_solves, 12);
-        assert_eq!(report.deep_solves, 0);
         // The pool allocated at most one scratch per worker; every later
         // backend run reused a pooled arena.
         let pool = &report.scratch_pool;
@@ -842,88 +682,6 @@ mod tests {
         assert_eq!(report.instances, 6);
         assert_eq!(report.cache_answered, 3);
         assert_eq!(report.cache.hits, 3);
-    }
-
-    #[test]
-    fn static_split_divides_the_worker_budget() {
-        let engine = PortfolioEngine::default().with_threads(2);
-        let driver = BatchDriver::new(BatchConfig {
-            workers: 4,
-            split: ThreadSplit::Static,
-            ..BatchConfig::default()
-        });
-        let generator = InstanceGenerator::paper_homogeneous(99);
-        let report = driver.run(&engine, generator.stream(4));
-        assert_eq!(report.instances, 4);
-        // Static mode records no adaptive decisions.
-        assert_eq!(report.wide_solves, 0);
-        assert_eq!(report.deep_solves, 0);
-    }
-
-    #[test]
-    fn adaptive_split_sends_large_instances_deep() {
-        let engine = PortfolioEngine::default().with_threads(2);
-        // One worker: the single deep permit is always free, so every
-        // large instance deterministically goes deep.
-        let driver = BatchDriver::new(BatchConfig {
-            workers: 1,
-            // Tiny threshold: every paper-scale instance counts as large.
-            split: ThreadSplit::Adaptive { small_volume: 1 },
-            ..BatchConfig::default()
-        });
-        let generator = InstanceGenerator::paper_homogeneous(5);
-        let report = driver.run(&engine, generator.stream(3));
-        assert_eq!(report.wide_solves, 0);
-        assert_eq!(report.deep_solves, 3);
-        assert!(report.feasible_instances > 0);
-    }
-
-    #[test]
-    fn deep_solve_width_is_sized_by_live_occupancy() {
-        // Idle batch: the deep solve gets the engine's full per-solve width.
-        assert_eq!(deep_solve_width(4, 8, 0), 4);
-        // Partially busy: only the idle capacity (plus the dispatching
-        // worker's own slot) is handed out.
-        assert_eq!(deep_solve_width(4, 8, 6), 3);
-        assert_eq!(deep_solve_width(4, 8, 7), 2);
-        // Saturated (or oversubscribed) batch: degrade to an inline solve.
-        assert_eq!(deep_solve_width(4, 8, 8), 1);
-        assert_eq!(deep_solve_width(4, 8, 100), 1);
-        // A deep width is never zero, whatever the configuration.
-        assert_eq!(deep_solve_width(1, 1, 0), 1);
-    }
-
-    #[test]
-    fn adaptive_deep_solves_bound_the_thread_commitment() {
-        // Engine configured far wider than the batch: without
-        // occupancy-aware sizing, every deep solve would commit the full
-        // per-solve width on top of the busy workers.
-        let engine = PortfolioEngine::default().with_threads(8);
-        let workers = 2;
-        let driver = BatchDriver::new(BatchConfig {
-            workers,
-            // Tiny threshold: every paper-scale instance counts as large.
-            split: ThreadSplit::Adaptive { small_volume: 1 },
-            ..BatchConfig::default()
-        });
-        let generator = InstanceGenerator::paper_homogeneous(17);
-        let report = driver.run(&engine, generator.stream(8));
-        assert_eq!(report.instances, 8);
-        assert!(report.deep_solves > 0, "large instances must go deep");
-        // The documented bound (2·workers − permits): here one deep permit,
-        // so one deep solve sized to the idle capacity plus the remaining
-        // worker solving inline.
-        let deep_threads = engine.threads().min(workers);
-        let permits = (workers / deep_threads).max(1);
-        assert!(
-            report.max_committed_threads <= 2 * workers - permits,
-            "peak commitment {} exceeds 2·workers − permits = {}",
-            report.max_committed_threads,
-            2 * workers - permits
-        );
-        // And in particular far below the pre-sizing worst case of one full
-        // engine width per busy worker.
-        assert!(report.max_committed_threads < workers * engine.threads());
     }
 
     #[test]
@@ -1006,7 +764,6 @@ mod tests {
                 latency_slack: 2.0,
             },
             heterogeneous: true,
-            split: ThreadSplit::default(),
             bucketed: false,
         });
         let generator = InstanceGenerator::paper_heterogeneous(11);

@@ -252,19 +252,6 @@ impl OracleCache {
         );
     }
 
-    /// The shared oracle for `instance`'s chain and platform: answered from
-    /// the cache when present, freshly built (and stored) otherwise. Callers
-    /// holding the cache behind a lock should prefer `get` + build + `put`
-    /// so the `O(n + p)` construction happens outside the critical section.
-    pub fn get_or_build(&mut self, instance: &ProblemInstance) -> Arc<IntervalOracle> {
-        if let Some(oracle) = self.get(instance) {
-            return oracle;
-        }
-        let oracle = instance.build_oracle();
-        self.put(instance, Arc::clone(&oracle));
-        oracle
-    }
-
     /// Current number of cached oracles.
     pub fn len(&self) -> usize {
         self.core.entries.len()
@@ -294,6 +281,15 @@ mod tests {
 
     fn empty_front() -> Arc<ParetoFront> {
         Arc::new(ParetoFront::new())
+    }
+
+    /// The engine's oracle lookup: `get`, and on a miss build and `put`.
+    fn resolve(cache: &mut OracleCache, instance: &ProblemInstance) -> Arc<IntervalOracle> {
+        cache.get(instance).unwrap_or_else(|| {
+            let oracle = instance.build_oracle();
+            cache.put(instance, Arc::clone(&oracle));
+            oracle
+        })
     }
 
     #[test]
@@ -365,8 +361,8 @@ mod tests {
         tighter.period_bound = 35.0;
         // Different bounds → different instance keys, same oracle.
         assert_ne!(base.canonical_key(), tighter.canonical_key());
-        let first = cache.get_or_build(&base);
-        let second = cache.get_or_build(&tighter);
+        let first = resolve(&mut cache, &base);
+        let second = resolve(&mut cache, &tighter);
         assert!(Arc::ptr_eq(&first, &second));
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(cache.stats().misses, 1);
@@ -376,8 +372,8 @@ mod tests {
     #[test]
     fn oracle_cache_distinguishes_chains() {
         let mut cache = OracleCache::new(8);
-        let a = cache.get_or_build(&instance(10.0));
-        let b = cache.get_or_build(&instance(11.0));
+        let a = resolve(&mut cache, &instance(10.0));
+        let b = resolve(&mut cache, &instance(11.0));
         assert!(!Arc::ptr_eq(&a, &b));
         assert_eq!(cache.len(), 2);
     }
@@ -386,8 +382,8 @@ mod tests {
     fn zero_capacity_oracle_cache_still_builds() {
         let mut cache = OracleCache::new(0);
         let a = instance(10.0);
-        let first = cache.get_or_build(&a);
-        let second = cache.get_or_build(&a);
+        let first = resolve(&mut cache, &a);
+        let second = resolve(&mut cache, &a);
         assert!(!Arc::ptr_eq(&first, &second)); // rebuilt every time
         assert!(cache.is_empty());
     }

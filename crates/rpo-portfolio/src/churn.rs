@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use crate::batch::{BatchConfig, BatchDriver};
+use crate::batch::BatchDriver;
 
 /// Configuration of a churn replay.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -116,19 +116,22 @@ impl std::fmt::Display for ChurnReport {
 
 impl BatchDriver {
     /// Replays a seeded churn trace through a live [`RepairSession`] for
-    /// every instance of `stream`, in parallel across the driver's workers.
+    /// every instance of `stream`, in parallel across the driver's
+    /// [`BatchConfig::workers`](crate::BatchConfig::workers). The platform
+    /// is chosen by [`ChurnConfig::heterogeneous`]; the driver's bounds and
+    /// bucketing settings do not apply.
     ///
     /// Each instance gets its own trace (`config.seed + index`) sampled from
     /// its platform's failure rates, so the replay is deterministic for a
-    /// given `(stream, config)`.
-    pub fn run_churn<I>(&self, batch: &BatchConfig, config: &ChurnConfig, stream: I) -> ChurnReport
+    /// given `(stream, config)`, whatever the worker count.
+    pub fn run_churn<I>(&self, config: &ChurnConfig, stream: I) -> ChurnReport
     where
         I: IntoIterator<Item = ExperimentInstance>,
         I::IntoIter: Send,
     {
         let _span = rpo_obs::span!("churn.replay");
         let start = Instant::now();
-        let workers = batch.workers.max(1);
+        let workers = self.config.workers.max(1);
         let source = Mutex::new(stream.into_iter().enumerate());
         let shared: Mutex<ChurnReport> = Mutex::new(ChurnReport::default());
         std::thread::scope(|scope| {
@@ -200,15 +203,18 @@ impl BatchDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::BatchConfig;
     use rpo_workload::InstanceGenerator;
+
+    fn driver(workers: usize) -> BatchDriver {
+        BatchDriver::new(BatchConfig {
+            workers,
+            ..BatchConfig::default()
+        })
+    }
 
     #[test]
     fn churn_replay_repairs_paper_scale_instances() {
-        let driver = BatchDriver::default();
-        let batch = BatchConfig {
-            workers: 2,
-            ..BatchConfig::default()
-        };
         // High-churn spec on the paper's 1e-8-rate platforms: shorten the
         // horizon massively so the burst dominates and events are certain.
         let config = ChurnConfig {
@@ -222,7 +228,7 @@ mod tests {
             ..ChurnConfig::default()
         };
         let generator = InstanceGenerator::paper_homogeneous(2024);
-        let report = driver.run_churn(&batch, &config, generator.stream(6));
+        let report = driver(2).run_churn(&config, generator.stream(6));
         assert_eq!(report.instances, 6);
         assert_eq!(report.infeasible_instances, 0);
         // Every instance's burst fires: 3 kills each.
@@ -239,20 +245,26 @@ mod tests {
 
     #[test]
     fn churn_replay_is_deterministic_in_counts() {
-        let driver = BatchDriver::default();
-        let batch = BatchConfig {
-            workers: 1,
-            ..BatchConfig::default()
-        };
         let config = ChurnConfig::default();
         let generator = InstanceGenerator::paper_homogeneous(7);
-        let a = driver.run_churn(&batch, &config, generator.batch(4));
-        let b = driver.run_churn(&batch, &config, generator.batch(4));
-        assert_eq!(a.events, b.events);
-        assert_eq!(
-            (a.local_patches, a.warm_dps, a.full_solves),
-            (b.local_patches, b.warm_dps, b.full_solves)
-        );
-        assert_eq!(a.final_reliability_sum, b.final_reliability_sum);
+        // The second replay runs on a driver with a different worker count:
+        // the driver's own config sets it, and the traces are per instance.
+        let a = driver(1).run_churn(&config, generator.batch(4));
+        let b = driver(3).run_churn(&config, generator.batch(4));
+        let tallies = |r: &ChurnReport| {
+            (
+                r.instances,
+                r.infeasible_instances,
+                r.events,
+                r.local_patches,
+                r.warm_dps,
+                r.full_solves,
+                r.unrepaired,
+            )
+        };
+        assert_eq!(tallies(&a), tallies(&b));
+        // The per-worker sums are added in a different order.
+        let (x, y) = (a.final_reliability_sum, b.final_reliability_sum);
+        assert!((x - y).abs() <= 1e-12 * x.abs().max(y.abs()), "{x} vs {y}");
     }
 }

@@ -211,7 +211,10 @@ impl PortfolioEngine {
         }
     }
 
-    /// Sets the number of worker threads used per solve (min 1).
+    /// Sets the number of worker threads one [`PortfolioEngine::solve`] or
+    /// [`PortfolioEngine::solve_until`] races its backends on (min 1). A
+    /// [`BatchDriver`](crate::BatchDriver) ignores it: a batch solves each
+    /// instance on one thread, whatever this is set to.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -228,16 +231,6 @@ impl PortfolioEngine {
     pub fn with_oracle_cache_capacity(mut self, capacity: usize) -> Self {
         self.oracles = Mutex::new(OracleCache::new(capacity));
         self
-    }
-
-    /// The configured budget.
-    pub fn budget(&self) -> &Budget {
-        &self.budget
-    }
-
-    /// The number of worker threads used per solve.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// The backend names, in fixed dispatch order.
@@ -267,44 +260,27 @@ impl PortfolioEngine {
     /// Solves one instance: answers from the cache when possible, otherwise
     /// races all applicable backends in parallel and caches the result.
     pub fn solve(&self, instance: &ProblemInstance) -> PortfolioOutcome {
-        self.solve_with_threads(instance, self.threads)
+        self.solve_inner(instance, self.threads, Vec::new(), None)
     }
 
-    /// [`PortfolioEngine::solve`] with an explicit per-solve worker count,
-    /// overriding the engine-wide [`Self::threads`] for this call only. This
-    /// is what lets the batch driver pick the thread split *per instance* at
-    /// dispatch time: small instances run inline (`threads = 1`, spawn-free)
-    /// under wide instance-level parallelism, large ones get backend-level
-    /// parallelism.
-    pub fn solve_with_threads(
+    /// The batch driver's solve: one instance on the calling thread, with
+    /// optionally precomputed backend results. Each `(backend name,
+    /// candidates)` pair replaces that backend's dispatch; the candidates
+    /// take exactly a live backend's path (re-certified through the shared
+    /// oracle, filtered by the instance bounds, merged into the streaming
+    /// front), so the portfolio contract is unchanged. Shape-bucketing uses
+    /// this seam: the SoA mega-kernel solves the Algo-1/Algo-2 DP for a
+    /// whole bucket at once and hands each instance its lane results here,
+    /// while every other backend still races normally. A backend named with
+    /// an *empty* candidate list is still suppressed — the precomputed path
+    /// ran that solver and found nothing, which a rerun could only
+    /// reproduce.
+    pub(crate) fn solve_inline(
         &self,
         instance: &ProblemInstance,
-        threads: usize,
-    ) -> PortfolioOutcome {
-        self.solve_inner(instance, threads, Vec::new(), None)
-    }
-
-    /// [`PortfolioEngine::solve_with_threads`] with externally precomputed
-    /// backend results: each `(backend name, candidates)` pair replaces that
-    /// backend's dispatch. The precomputed candidates flow through exactly
-    /// the same pipeline as a live backend's — re-certified through the
-    /// shared oracle, filtered by the instance bounds, merged into the
-    /// streaming front — so the portfolio contract (bit-exact reliability,
-    /// Pareto front semantics) is unchanged. This is the seam the batch
-    /// driver's shape-bucketing uses: the SoA mega-kernel solves the
-    /// Algo-1/Algo-2 DP for a whole bucket at once and hands each instance's
-    /// lane results here, while every other backend still races normally.
-    ///
-    /// A backend named with an *empty* candidate list is still suppressed —
-    /// that marks "the precomputed path ran this solver and found nothing",
-    /// which a rerun could only reproduce.
-    pub fn solve_with_precomputed(
-        &self,
-        instance: &ProblemInstance,
-        threads: usize,
         precomputed: Vec<(&'static str, Vec<crate::backend::CandidateMapping>)>,
     ) -> PortfolioOutcome {
-        self.solve_inner(instance, threads, precomputed, None)
+        self.solve_inner(instance, 1, precomputed, None)
     }
 
     /// [`PortfolioEngine::solve`] with an explicit wall-clock deadline for

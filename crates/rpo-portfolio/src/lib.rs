@@ -14,9 +14,10 @@
 //! The moving parts:
 //!
 //! * [`SolverBackend`] ([`backend`]) — one uniform
-//!   `solve(&ProblemInstance, &Budget) -> Vec<CandidateMapping>` interface
-//!   with per-backend applicability checks;
-//! * [`backends`] — the eight adapters over `rpo-algorithms`;
+//!   `solve(&ProblemInstance, &IntervalOracle, &Budget, &mut SolveContext)
+//!   -> Vec<CandidateMapping>` interface with per-backend applicability
+//!   checks;
+//! * [`backends`] — the ten adapters over `rpo-algorithms`;
 //! * [`ParetoFront`] ([`pareto`]) — dominance filtering with deterministic
 //!   tie-breaking, so results are thread-schedule independent — plus the
 //!   [`StreamingFront`] candidates flow into as each backend finishes,
@@ -29,7 +30,8 @@
 //!   chain-keyed [`OracleCache`] that lets near-duplicate instances (same
 //!   chain/platform, different bounds) share one [`rpo_model::IntervalOracle`];
 //! * [`BatchDriver`] ([`batch`]) — streams `rpo-workload` instance batches
-//!   through the engine and reports throughput and per-backend win rates;
+//!   through the engine, one instance per worker thread at a time, and
+//!   reports throughput and per-backend win rates;
 //!   with [`BatchConfig::bucketed`] it shape-buckets homogeneous instances
 //!   through the batched SoA mega-kernel
 //!   ([`rpo_algorithms::solve_batch`]), one instance per SIMD lane, and
@@ -68,7 +70,7 @@ pub use backend::{
     Applicability, Budget, CandidateMapping, ProblemInstance, SolveContext, SolverBackend,
 };
 pub use backends::default_backends;
-pub use batch::{BackendStats, BatchConfig, BatchDriver, BatchReport, BoundsPolicy, ThreadSplit};
+pub use batch::{BackendStats, BatchConfig, BatchDriver, BatchReport, BoundsPolicy};
 pub use cache::{CacheStats, InstanceCache, OracleCache};
 pub use churn::{ChurnConfig, ChurnReport};
 pub use engine::{BackendRun, PortfolioEngine, PortfolioOutcome, RunStatus};

@@ -88,7 +88,7 @@ impl RepairSession {
                 &chain,
                 &platform,
                 period_bound,
-                DpKernel::crate_default(),
+                DpKernel::Chunked,
                 &mut scratch,
             )
             .ok_or(AlgoError::NoFeasibleMapping)?;
@@ -351,7 +351,7 @@ fn full_solve(
             &applied.chain,
             &applied.platform,
             period_bound,
-            DpKernel::crate_default(),
+            DpKernel::Chunked,
             scratch,
         )
         .ok_or(AlgoError::NoFeasibleMapping)?;

@@ -1,7 +1,7 @@
 //! Mid-simulation fault injection: platform deltas fired at chosen trial
 //! fractions of a Monte-Carlo run, with a caller-supplied repair loop.
 //!
-//! The plain [`crate::monte_carlo`] estimator assumes one fixed
+//! The plain [`monte_carlo`](fn@crate::monte_carlo) estimator assumes one fixed
 //! `(chain, platform, mapping)` for the whole run. A [`FaultPlan`] breaks
 //! that assumption the way production does: at chosen fractions of the trial
 //! budget a [`PlatformDelta`] strikes (a processor dies, a speed degrades, a

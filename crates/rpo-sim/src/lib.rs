@@ -13,8 +13,8 @@
 //! * [`pipeline`] — event-driven simulation of the *pipelined* execution of a
 //!   stream of data sets, measuring the achieved period and per-data-set
 //!   latencies;
-//! * [`monte_carlo`] — parallel Monte-Carlo estimation (Rayon) with seeded,
-//!   reproducible streams;
+//! * [`monte_carlo`](mod@monte_carlo) — parallel Monte-Carlo estimation
+//!   (Rayon) with seeded, reproducible streams;
 //! * [`fault`] — mid-run fault injection: scripted/seeded [`FaultPlan`]s fire
 //!   platform deltas at chosen trial fractions and a caller-supplied repair
 //!   loop keeps the simulation going on the repaired mapping.

@@ -16,7 +16,7 @@
 //! ```
 
 use pipelined_rt::model::PlatformDelta;
-use pipelined_rt::portfolio::{BatchConfig, BatchDriver, ChurnConfig};
+use pipelined_rt::portfolio::{BatchDriver, ChurnConfig};
 use pipelined_rt::repair::{monte_carlo_with_repair, RepairSession};
 use pipelined_rt::sim::{FaultEvent, FaultPlan, MonteCarloConfig};
 use pipelined_rt::workload::{ChurnSpec, ChurnTrace, InstanceGenerator};
@@ -109,9 +109,8 @@ fn main() {
         spec,
         ..ChurnConfig::default()
     };
-    let batch = BatchConfig::default();
     let generator = InstanceGenerator::paper_homogeneous(7);
-    let replay = BatchDriver::default().run_churn(&batch, &churn, generator.stream(20));
+    let replay = BatchDriver::default().run_churn(&churn, generator.stream(20));
     println!("\n{replay}");
     assert_eq!(replay.unrepaired, 0);
 }
