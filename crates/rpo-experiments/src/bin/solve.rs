@@ -276,14 +276,17 @@ fn run_repair(count: usize, obs: &ObsArgs) -> Result<String, String> {
 }
 
 /// Runs the long-lived solver service: JSON-lines over stdin/stdout by
-/// default, or over TCP with `--tcp ADDR` (stdin EOF is the stop signal).
+/// default, or over TCP with `--tcp ADDR` (stdin EOF is the stop signal:
+/// every admitted request's response is written before the process exits).
 /// Responses stream to stdout; the drain summary goes to stderr so stdout
 /// stays machine-parseable.
 fn run_serve(obs: &ObsArgs) -> Result<String, String> {
     let engine = Arc::new(PortfolioEngine::default().with_threads(1));
     let mut config = ServeConfig::default();
     if let Some(workers) = obs.workers {
-        config.workers = workers;
+        // A connection returns only once its responses are written, and
+        // with no workers nothing would answer them.
+        config.workers = workers.max(1);
     }
     if let Some(queue) = obs.queue {
         config.queue_capacity = queue.max(1);

@@ -30,12 +30,26 @@
 //! * **Graceful drain** — [`SolverService::shutdown`] stops admitting,
 //!   finishes every queued solve (still under deadline rules), answers
 //!   late arrivals with [`ResponseStatus::Draining`], and joins the
-//!   workers.
+//!   workers. [`TcpServer::stop`] drains the connections first: it stops
+//!   reading them and returns once every admitted request's response is
+//!   written.
+//! * **Contained panics** — a solve that panics answers its waiters with
+//!   [`ResponseStatus::Internal`] and the worker carries on.
+//!
+//! Each connection owns its output: a writer thread per connection drains
+//! the connection's outbox, and responders only append encoded lines to
+//! it. Everything queued leaves in one write (TCP sockets set
+//! `TCP_NODELAY`), so a peer that stops reading stalls only its own
+//! connection. Input and peers are bounded by constants in [`wire`]:
+//! [`wire::MAX_LINE_BYTES`] per request line, [`wire::MAX_OUTBOX_BYTES`]
+//! of unwritten responses per connection, [`wire::MAX_CONNECTIONS`] open
+//! connections and a [`wire::WRITE_TIMEOUT`] per TCP write.
 //!
 //! The service is instrumented through `rpo-obs`: `serve.queue_wait` and
 //! `serve.latency` histograms, and `serve.{admitted, shed, coalesced,
-//! overloaded}` counters — the `BENCH_serve.json` gate replays a seeded
-//! duplicate-heavy request stream against these.
+//! overloaded, panics, responses_dropped}` counters — the
+//! `BENCH_serve.json` gate replays a seeded duplicate-heavy request stream
+//! against these.
 //!
 //! [`InstanceCache`]: rpo_portfolio::InstanceCache
 //! [`PortfolioEngine::cached`]: rpo_portfolio::PortfolioEngine::cached

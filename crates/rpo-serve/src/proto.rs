@@ -54,6 +54,9 @@ pub enum ResponseStatus {
     Draining,
     /// The request was malformed (unparseable line, invalid bounds, …).
     Invalid,
+    /// The solve panicked; the error carries the panic message. The worker
+    /// survives and serves the next request.
+    Internal,
 }
 
 impl ResponseStatus {
@@ -66,6 +69,7 @@ impl ResponseStatus {
             ResponseStatus::Overloaded => "overloaded",
             ResponseStatus::Draining => "draining",
             ResponseStatus::Invalid => "invalid",
+            ResponseStatus::Internal => "internal",
         }
     }
 }
@@ -85,6 +89,7 @@ impl Deserialize for ResponseStatus {
             Some("overloaded") => Ok(ResponseStatus::Overloaded),
             Some("draining") => Ok(ResponseStatus::Draining),
             Some("invalid") => Ok(ResponseStatus::Invalid),
+            Some("internal") => Ok(ResponseStatus::Internal),
             Some(other) => Err(Error::unknown_variant(other, "ResponseStatus")),
             None => Err(Error::expected("string", "ResponseStatus")),
         }
@@ -118,10 +123,12 @@ pub struct ServeResponse {
     #[serde(default)]
     pub cached: bool,
     /// Time the request spent queued before its solve started, in µs
-    /// (0 for immediate rejections and cache hits).
+    /// (0 for immediate rejections and cache hits, and for a duplicate that
+    /// joined the solve in flight).
     #[serde(default)]
     pub queue_wait_micros: u64,
-    /// Wall-clock of the solve that produced this response, in µs.
+    /// Wall-clock of the solve that produced this response, in µs; for a
+    /// duplicate that joined it in flight, only the part it waited for.
     #[serde(default)]
     pub solve_micros: u64,
     /// Human-readable detail for rejection statuses.
@@ -197,6 +204,7 @@ mod tests {
             ResponseStatus::Overloaded,
             ResponseStatus::Draining,
             ResponseStatus::Invalid,
+            ResponseStatus::Internal,
         ] {
             let response = ServeResponse::rejection(1, status, "x");
             let json = serde_json::to_string(&response).unwrap();

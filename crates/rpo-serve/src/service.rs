@@ -4,6 +4,7 @@
 use crate::proto::{ResponseStatus, ServeRequest, ServeResponse};
 use rpo_portfolio::{ParetoFront, PortfolioEngine, ProblemInstance};
 use std::collections::{HashMap, VecDeque};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -54,7 +55,8 @@ pub struct ServeStats {
     pub overloaded: u64,
     /// Requests rejected during drain.
     pub drained: u64,
-    /// Solves actually executed by workers.
+    /// Solves executed to an outcome (a solve that panicked counts in the
+    /// `serve.panics` counter instead).
     pub solved: u64,
 }
 
@@ -450,7 +452,10 @@ fn worker_loop(core: &Core) {
 }
 
 /// Pops and runs one queued solve. Returns `false` if the queue was empty.
-/// The engine call and every responder run outside the service's locks.
+/// The engine call and every responder run outside the service's locks. A
+/// solve that panics answers its waiters [`ResponseStatus::Internal`]; the
+/// engine holds no lock across a backend call, so nothing is left poisoned
+/// and the calling worker carries on.
 fn process_next(core: &Core) -> bool {
     // Dequeue under the lock, with queue-time shedding, dequeue edition:
     // waiters whose deadline passed while queued are shed *before* the
@@ -486,8 +491,7 @@ fn process_next(core: &Core) -> bool {
         (key, live, enqueued, shed, latest)
     };
 
-    let queue_wait = enqueued.elapsed();
-    rpo_obs::histogram!("serve.queue_wait").record(queue_wait);
+    rpo_obs::histogram!("serve.queue_wait").record(enqueued.elapsed());
     for waiter in shed {
         core.shed.fetch_add(1, Ordering::Relaxed);
         rpo_obs::counter!("serve.shed").inc();
@@ -498,9 +502,10 @@ fn process_next(core: &Core) -> bool {
     };
 
     let solve_start = Instant::now();
-    let outcome = core.engine.solve_until(&instance, latest_deadline);
-    let solve_micros = solve_start.elapsed().as_micros() as u64;
-    core.solved.fetch_add(1, Ordering::Relaxed);
+    let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+        core.engine.solve_until(&instance, latest_deadline)
+    }));
+    let solve_end = Instant::now();
 
     // The engine cached a completed front before the pending entry goes, so
     // a duplicate arriving from here on is answered at admission.
@@ -512,6 +517,27 @@ fn process_next(core: &Core) -> bool {
         .remove(&key)
         .expect("queued key without pending entry")
         .waiters;
+    let outcome = match outcome {
+        Ok(outcome) => outcome,
+        Err(payload) => {
+            rpo_obs::counter!("serve.panics").inc();
+            let message = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("a non-string payload");
+            for waiter in waiters {
+                rpo_obs::histogram!("serve.latency").record(waiter.submitted.elapsed());
+                (waiter.respond)(ServeResponse::rejection(
+                    waiter.id,
+                    ResponseStatus::Internal,
+                    format!("the solve panicked: {message}"),
+                ));
+            }
+            return true;
+        }
+    };
+    core.solved.fetch_add(1, Ordering::Relaxed);
 
     // Delivery-time deadline check: a response is never handed out past its
     // waiter's deadline — late results are converted to sheds, structurally
@@ -528,8 +554,12 @@ fn process_next(core: &Core) -> bool {
             // that lookup and this solve.
             let mut response = respond_from_front(waiter.id, &outcome.front, outcome.from_cache);
             response.coalesced = waiter.coalesced;
-            response.queue_wait_micros = queue_wait.as_micros() as u64;
-            response.solve_micros = solve_micros;
+            // The waiter's own times: a duplicate that joined while the
+            // solve was queued waited only from its arrival, and one that
+            // joined mid-solve waited only for the rest of the solve.
+            let joined = waiter.submitted.max(solve_start);
+            response.queue_wait_micros = (joined - waiter.submitted).as_micros() as u64;
+            response.solve_micros = solve_end.saturating_duration_since(joined).as_micros() as u64;
             response
         };
         rpo_obs::histogram!("serve.latency").record(waiter.submitted.elapsed());

@@ -1,21 +1,26 @@
 //! The serving-layer contract: bounded-queue backpressure, deadline
 //! shedding (never a stale solve), bit-identical duplicate coalescing, one
 //! result cache for every tenant, responders that never stall the service,
-//! the engine's deadline accounting underneath it all, and a 1k-request
-//! loopback replay over real TCP.
+//! the engine's deadline accounting underneath it all, a 1k-request
+//! loopback replay over real TCP, and the wire layer's bounds: a peer that
+//! stops reading, hostile lines, panicking solves, the TCP drain and the
+//! connection cap.
 
+use pipelined_rt::model::IntervalOracle;
 use pipelined_rt::portfolio::{
-    default_backends, Budget, PortfolioEngine, ProblemInstance, RunStatus,
+    default_backends, Applicability, Budget, CandidateMapping, PortfolioEngine, ProblemInstance,
+    RunStatus, SolveContext, SolverBackend,
 };
+use pipelined_rt::serve::wire::MAX_CONNECTIONS;
 use pipelined_rt::serve::{
     serve_lines, Responder, ResponseStatus, ServeConfig, ServeRequest, ServeResponse,
     SolverService, TcpServer,
 };
 use pipelined_rt::workload::{GeneratedRequest, InstanceGenerator, RequestSpec};
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Dresses a generated request as a wire request (homogeneous platform).
@@ -29,6 +34,50 @@ fn to_wire(generated: &GeneratedRequest, deadline_ms: Option<f64>) -> ServeReque
         period_bound: Some(generated.period_bound).filter(|bound| bound.is_finite()),
         latency_bound: Some(generated.latency_bound).filter(|bound| bound.is_finite()),
     }
+}
+
+/// One JSON line per request, each with `deadline_ms`.
+fn wire_lines(requests: &[GeneratedRequest], deadline_ms: Option<f64>) -> Vec<u8> {
+    let mut input = Vec::new();
+    for request in requests {
+        let line = serde_json::to_string(&to_wire(request, deadline_ms)).unwrap();
+        input.extend_from_slice(line.as_bytes());
+        input.push(b'\n');
+    }
+    input
+}
+
+/// A `Write` into a buffer the test keeps a handle to.
+#[derive(Clone, Default)]
+struct SharedSink(Arc<Mutex<Vec<u8>>>);
+
+impl SharedSink {
+    fn responses(&self) -> Vec<ServeResponse> {
+        let bytes = self.0.lock().unwrap().clone();
+        String::from_utf8(bytes)
+            .expect("utf8 responses")
+            .lines()
+            .map(|line| serde_json::from_str(line).expect("response parses"))
+            .collect()
+    }
+}
+
+impl Write for SharedSink {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Serves `input` as one stdio-style connection; returns its responses in
+/// the order they were written.
+fn serve_input(service: &SolverService, input: &[u8]) -> Vec<ServeResponse> {
+    let sink = SharedSink::default();
+    serve_lines(service, input, sink.clone()).expect("serve loop");
+    sink.responses()
 }
 
 /// A `workers: 0` service processed manually — fully deterministic.
@@ -134,6 +183,8 @@ fn coalesced_duplicates_are_bit_identical() {
     let requests: Vec<GeneratedRequest> = spec.stream(1).collect();
 
     let first = service.submit(to_wire(&requests[0], None));
+    std::thread::sleep(Duration::from_millis(20));
+    let second_submitted = Instant::now();
     let second = service.submit(ServeRequest {
         id: 999,
         ..to_wire(&requests[0], None)
@@ -147,6 +198,10 @@ fn coalesced_duplicates_are_bit_identical() {
     assert!(service.process_one());
     let a = first.wait();
     let b = second.wait();
+    // Each reports its own time: the duplicate queued for less than the
+    // original, and never for longer than it existed.
+    assert!(a.queue_wait_micros >= 20_000);
+    assert!(b.queue_wait_micros + b.solve_micros <= second_submitted.elapsed().as_micros() as u64);
     assert_eq!(service.stats().solved, 1, "one solve served both");
     assert_eq!(a.status, ResponseStatus::Ok);
     assert_eq!(b.status, ResponseStatus::Ok);
@@ -508,38 +563,258 @@ fn stdio_style_serve_lines_round_trip() {
     );
     let spec = RequestSpec::serve_replay(888);
     let requests: Vec<GeneratedRequest> = spec.stream(8).collect();
-    let mut input = String::new();
-    for request in &requests {
-        input.push_str(&serde_json::to_string(&to_wire(request, Some(30_000.0))).unwrap());
-        input.push('\n');
-    }
-    input.push_str("this is not json\n\n");
+    let mut input = wire_lines(&requests, Some(30_000.0));
+    input.extend_from_slice(b"this is not json\n\n");
 
-    let output: Arc<std::sync::Mutex<Vec<u8>>> = Arc::new(std::sync::Mutex::new(Vec::new()));
-    #[derive(Clone)]
-    struct SharedSink(Arc<std::sync::Mutex<Vec<u8>>>);
-    impl Write for SharedSink {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().unwrap().extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-    serve_lines(&service, input.as_bytes(), SharedSink(Arc::clone(&output))).expect("serve loop");
+    let responses = serve_input(&service, &input);
     service.shutdown();
-
-    let bytes = output.lock().unwrap().clone();
-    let text = String::from_utf8(bytes).expect("utf8 responses");
-    let responses: Vec<ServeResponse> = text
-        .lines()
-        .map(|line| serde_json::from_str(line).expect("response parses"))
-        .collect();
     assert_eq!(responses.len(), 9, "8 requests + 1 invalid line");
     let invalid = responses
         .iter()
         .filter(|r| r.status == ResponseStatus::Invalid)
         .count();
     assert_eq!(invalid, 1);
+}
+
+/// A `Write` whose first write blocks until the gate opens: a peer that
+/// stops reading.
+struct GatedSink {
+    entered: Option<mpsc::Sender<()>>,
+    gate: mpsc::Receiver<()>,
+    sink: SharedSink,
+}
+
+impl Write for GatedSink {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        if let Some(entered) = self.entered.take() {
+            let _ = entered.send(());
+            let _ = self.gate.recv();
+        }
+        self.sink.write(buf)
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn a_peer_that_never_reads_stalls_only_itself() {
+    // One worker: if workers wrote responses themselves, it would block
+    // inside the stalled peer's write and nothing else would be answered.
+    let service = SolverService::start(
+        Arc::new(PortfolioEngine::default().with_threads(1)),
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+    );
+    let spec = RequestSpec {
+        duplicate_fraction: 0.0,
+        ..RequestSpec::serve_replay(650)
+    };
+    let requests: Vec<GeneratedRequest> = spec.stream(3).collect();
+    let stalled_input = wire_lines(&requests[..2], Some(30_000.0));
+    let other_input = wire_lines(&requests[2..], Some(5_000.0));
+    let (entered_tx, entered) = mpsc::channel();
+    let (gate, gate_rx) = mpsc::channel();
+    let stalled = SharedSink::default();
+    let gated = GatedSink {
+        entered: Some(entered_tx),
+        gate: gate_rx,
+        sink: stalled.clone(),
+    };
+    std::thread::scope(|scope| {
+        let stalled_loop = scope.spawn(|| serve_lines(&service, stalled_input.as_slice(), gated));
+        entered
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the first response reached the stalled peer");
+        let (answered_tx, answered) = mpsc::channel();
+        let (service, other_input) = (&service, &other_input);
+        scope.spawn(move || {
+            let _ = answered_tx.send(serve_input(service, other_input));
+        });
+        let verdict = answered.recv_timeout(Duration::from_secs(5));
+        gate.send(()).expect("the stalled writer is still waiting");
+        let other = verdict.expect("the second connection was answered within its deadline");
+        assert_eq!(other.len(), 1);
+        assert_eq!(other[0].status, ResponseStatus::Ok);
+        stalled_loop
+            .join()
+            .expect("serve thread")
+            .expect("serve loop");
+    });
+    // Once the peer reads again, it gets both of its responses.
+    let responses = stalled.responses();
+    assert_eq!(responses.len(), 2);
+    assert!(responses.iter().all(|r| r.status == ResponseStatus::Ok));
+    service.shutdown();
+}
+
+#[test]
+fn hostile_lines_get_typed_answers() {
+    let service = SolverService::start(
+        Arc::new(PortfolioEngine::default().with_threads(1)),
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+    );
+    let requests: Vec<GeneratedRequest> = RequestSpec::serve_replay(700).stream(1).collect();
+    let mut input = vec![b'['; 200_000];
+    input.push(b'\n');
+    input.extend_from_slice(b"\xff\xfe\n");
+    // 16 MiB with no newline until its end: four times the line cap.
+    input.extend_from_slice(b"{\"id\": 9, \"tenant\": \"");
+    input.resize(input.len() + (16 << 20), b'a');
+    input.extend_from_slice(b"\"}\n");
+    input.extend(wire_lines(&requests, Some(30_000.0)));
+
+    let responses = serve_input(&service, &input);
+    let statuses: Vec<ResponseStatus> = responses.iter().map(|r| r.status).collect();
+    assert_eq!(
+        statuses,
+        [
+            ResponseStatus::Invalid,
+            ResponseStatus::Invalid,
+            ResponseStatus::Invalid,
+            ResponseStatus::Ok
+        ]
+    );
+    let error = |i: usize| responses[i].error.clone().unwrap_or_default();
+    assert!(error(0).contains("nesting deeper than"), "{}", error(0));
+    assert!(error(1).contains("UTF-8"), "{}", error(1));
+    assert!(error(2).contains("longer than"), "{}", error(2));
+    service.shutdown();
+}
+
+/// A backend that panics on every solve.
+struct PanickingBackend;
+
+impl SolverBackend for PanickingBackend {
+    fn name(&self) -> &'static str {
+        "Panics"
+    }
+
+    fn applicability(&self, _: &ProblemInstance, _: &Budget) -> Applicability {
+        Applicability::Applicable
+    }
+
+    fn solve(
+        &self,
+        _: &ProblemInstance,
+        _: &IntervalOracle,
+        _: &Budget,
+        _: &mut SolveContext<'_>,
+    ) -> Vec<CandidateMapping> {
+        panic!("injected backend failure");
+    }
+}
+
+#[test]
+fn a_panicking_backend_answers_internal_and_the_worker_lives() {
+    let engine = PortfolioEngine::new(vec![Box::new(PanickingBackend)], Budget::default());
+    let service = SolverService::start(
+        Arc::new(engine.with_threads(1)),
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+    );
+    let spec = RequestSpec {
+        duplicate_fraction: 0.0,
+        ..RequestSpec::serve_replay(800)
+    };
+    let requests: Vec<GeneratedRequest> = spec.stream(2).collect();
+    let before = pipelined_rt::obs::global().snapshot();
+    // Both answered by the one worker: the second proves it survived.
+    let responses = serve_input(&service, &wire_lines(&requests, Some(30_000.0)));
+    assert_eq!(responses.len(), 2);
+    for response in &responses {
+        assert_eq!(response.status, ResponseStatus::Internal);
+        let error = response.error.as_deref().unwrap_or_default();
+        assert!(error.contains("injected backend failure"), "{error}");
+    }
+    let delta = pipelined_rt::obs::global().snapshot().delta(&before);
+    assert_eq!(delta.counter_value("serve.panics"), Some(2));
+    let stats = service.shutdown();
+    assert_eq!(stats.solved, 0);
+}
+
+#[test]
+fn tcp_drain_delivers_every_admitted_response() {
+    let service = Arc::new(SolverService::start(
+        Arc::new(PortfolioEngine::default().with_threads(1)),
+        ServeConfig {
+            workers: 2,
+            queue_capacity: 1024,
+            default_deadline: None,
+        },
+    ));
+    let server = TcpServer::spawn(Arc::clone(&service), "127.0.0.1:0").expect("bind loopback");
+    let spec = RequestSpec {
+        duplicate_fraction: 0.0,
+        ..RequestSpec::serve_replay(750)
+    };
+    let requests: Vec<GeneratedRequest> = spec.stream(50).collect();
+    let mut client = TcpStream::connect(server.local_addr()).expect("connect loopback");
+    client
+        .write_all(&wire_lines(&requests, Some(30_000.0)))
+        .expect("send requests");
+    // The client does not read. Wait until the server has admitted all 50.
+    let started = Instant::now();
+    while service.stats().admitted < 50 {
+        assert!(
+            started.elapsed() < Duration::from_secs(30),
+            "requests not admitted"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    server.stop();
+    service.shutdown();
+
+    client
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut text = String::new();
+    client
+        .read_to_string(&mut text)
+        .expect("every response, then EOF");
+    let mut ids: Vec<u64> = text
+        .lines()
+        .map(|line| {
+            let response: ServeResponse = serde_json::from_str(line).expect("response parses");
+            assert!(matches!(
+                response.status,
+                ResponseStatus::Ok | ResponseStatus::Infeasible
+            ));
+            response.id
+        })
+        .collect();
+    ids.sort_unstable();
+    assert_eq!(ids, (0..50).collect::<Vec<u64>>());
+}
+
+#[test]
+fn connections_past_the_cap_get_overloaded() {
+    let service = Arc::new(SolverService::start(
+        Arc::new(PortfolioEngine::default().with_threads(1)),
+        ServeConfig::default(),
+    ));
+    let server = TcpServer::spawn(Arc::clone(&service), "127.0.0.1:0").expect("bind loopback");
+    let open: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+        .map(|_| TcpStream::connect(server.local_addr()).expect("connect loopback"))
+        .collect();
+    let mut extra = TcpStream::connect(server.local_addr()).expect("connect loopback");
+    extra
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut text = String::new();
+    extra.read_to_string(&mut text).expect("one line, then EOF");
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 1);
+    let response: ServeResponse = serde_json::from_str(lines[0]).expect("response parses");
+    assert_eq!(response.status, ResponseStatus::Overloaded);
+    drop(open);
+    server.stop();
+    service.shutdown();
 }
