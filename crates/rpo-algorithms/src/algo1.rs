@@ -1,4 +1,6 @@
-//! Algorithm 1: optimal reliability on fully homogeneous platforms.
+//! Algorithms 1 and 2: optimal reliability on fully homogeneous platforms,
+//! without (Algorithm 1) or under (Algorithm 2) a worst-case period bound.
+//! Both are one dynamic program behind one entry, [`optimize_reliability`].
 //!
 //! `F(i, k)` is the optimal reliability when mapping the first `i` tasks onto
 //! exactly `k` processors; the recurrence tries every possible last interval
@@ -9,6 +11,13 @@
 //! The paper only returns the optimal reliability value; this implementation
 //! additionally keeps the dynamic-programming choices and reconstructs an
 //! actual [`Mapping`] achieving it.
+//!
+//! Algorithm 2 runs the same recurrence restricted to intervals that respect
+//! the period bound: an interval `τ_{j+1} … τ_i` is admissible iff
+//! `max(o_j / b, Σ w / s, o_i / b) ≤ P` (its incoming communication, its
+//! computation on one processor, and its outgoing communication all fit
+//! within one period). Algorithm 1 is the unbounded case `P = +∞`, where
+//! every interval is admissible.
 //!
 //! # Kernel structure
 //!
@@ -61,28 +70,6 @@ const NO_CHOICE: f64 = u32::MAX as f64;
 /// vectors or one AVX-512 vector — LLVM splits the fixed-size-array loops
 /// into whatever width the target supports.
 pub const LANES: usize = 8;
-
-/// Interval admissibility of the shared dynamic program: Algorithm 1 admits
-/// every interval, Algorithm 2 only those fitting a worst-case period bound.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum DpFilter {
-    /// Every interval is admissible (Algorithm 1).
-    All,
-    /// `max(o_in/b, W/s, o_out/b) ≤ bound` (Algorithm 2). Decomposed inside
-    /// the DP into a per-boundary communication flag, a per-row outgoing
-    /// check, and a work-prefix cut for the first admissible interval start —
-    /// inadmissible intervals cost nothing.
-    PeriodBound(f64),
-}
-
-impl DpFilter {
-    fn bound(self) -> f64 {
-        match self {
-            DpFilter::All => f64::INFINITY,
-            DpFilter::PeriodBound(bound) => bound,
-        }
-    }
-}
 
 /// Which implementation of the DP inner sweep to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -164,29 +151,47 @@ impl DpScratch {
     }
 }
 
-/// The dynamic program shared by Algorithms 1 and 2 (fresh scratch per call).
-pub(crate) fn reliability_dp(
+/// Algorithms 1 and 2: a mapping of maximal reliability on a fully
+/// homogeneous platform, in time `O(n² p K)`. `period_bound: None` runs
+/// Algorithm 1; `Some(bound)` runs Algorithm 2, keeping only mappings whose
+/// worst-case period does not exceed `bound`.
+///
+/// `scratch` holds the DP arenas. Repeated runs over the same oracle (the
+/// period minimizer's binary search) reuse them and warm-start the
+/// admissible-interval cuts from the previous bounded run; batch callers
+/// (the portfolio engine's scratch pool) reuse only the allocations across
+/// instances. Either way the answer equals a fresh-scratch run's.
+///
+/// # Errors
+///
+/// * [`AlgoError::HeterogeneousPlatform`] if the platform is not homogeneous
+///   (the dynamic program is only optimal in the homogeneous case);
+/// * [`AlgoError::InvalidBound`] if the period bound is not a positive
+///   finite number;
+/// * [`AlgoError::NoFeasibleMapping`] if no partition of the chain respects
+///   the period bound.
+pub fn optimize_reliability(
     oracle: &IntervalOracle,
     chain: &TaskChain,
     platform: &Platform,
-    filter: DpFilter,
-) -> Option<OptimalMapping> {
-    let mut scratch = DpScratch::new();
-    reliability_dp_scratch(
-        oracle,
-        chain,
-        platform,
-        filter,
-        DpKernel::Chunked,
-        &mut scratch,
-    )
+    period_bound: Option<f64>,
+    scratch: &mut DpScratch,
+) -> Result<OptimalMapping> {
+    crate::debug_assert_oracle_matches(oracle, chain, platform);
+    if !oracle.is_homogeneous() {
+        return Err(AlgoError::HeterogeneousPlatform);
+    }
+    let bound = crate::validate_bound(period_bound)?;
+    reliability_dp(oracle, chain, platform, bound, DpKernel::Chunked, scratch)
+        .ok_or(AlgoError::NoFeasibleMapping)
 }
 
-/// Runs the shared dynamic program with an explicit kernel choice. This is
-/// the measurement and equivalence-testing entry point: `period_bound: None`
-/// is Algorithm 1, `Some(bound)` is Algorithm 2. The platform must be
-/// homogeneous (this is not re-checked here; use the `optimize_*` wrappers
-/// for validated solving).
+/// Runs the shared dynamic program with an explicit kernel choice on a
+/// fresh scratch. This is the measurement and equivalence-testing entry
+/// point, and the only way to reach [`DpKernel::Scalar`]: `period_bound:
+/// None` is Algorithm 1, `Some(bound)` is Algorithm 2. Neither the platform
+/// nor the bound is checked here; use [`optimize_reliability`] for
+/// validated solving.
 pub fn reliability_dp_with_kernel(
     oracle: &IntervalOracle,
     chain: &TaskChain,
@@ -194,28 +199,15 @@ pub fn reliability_dp_with_kernel(
     period_bound: Option<f64>,
     kernel: DpKernel,
 ) -> Option<OptimalMapping> {
-    let mut scratch = DpScratch::new();
-    reliability_dp_with_scratch(oracle, chain, platform, period_bound, kernel, &mut scratch)
-}
-
-/// [`reliability_dp_with_kernel`] against caller-owned [`DpScratch`]:
-/// repeated runs over the same oracle (a bound sweep, a probe loop) reuse
-/// the DP arenas and warm-start the admissible-interval cuts from the
-/// previous bounded run — this is what the period minimizer's binary search
-/// does internally with one scratch across all its probes.
-pub fn reliability_dp_with_scratch(
-    oracle: &IntervalOracle,
-    chain: &TaskChain,
-    platform: &Platform,
-    period_bound: Option<f64>,
-    kernel: DpKernel,
-    scratch: &mut DpScratch,
-) -> Option<OptimalMapping> {
-    let filter = match period_bound {
-        None => DpFilter::All,
-        Some(bound) => DpFilter::PeriodBound(bound),
-    };
-    reliability_dp_scratch(oracle, chain, platform, filter, kernel, scratch)
+    let bound = period_bound.unwrap_or(f64::INFINITY);
+    reliability_dp(
+        oracle,
+        chain,
+        platform,
+        bound,
+        kernel,
+        &mut DpScratch::new(),
+    )
 }
 
 /// How a repair DP call obtained its answer.
@@ -260,7 +252,7 @@ pub enum WarmPath {
 ///
 /// Returns `None` when no feasible mapping exists on the post-delta
 /// platform (all final states unreachable), exactly like the cold DP.
-pub fn repair_reliability_dp_with_scratch(
+pub fn repair_reliability_dp(
     oracle: &IntervalOracle,
     chain: &TaskChain,
     platform: &Platform,
@@ -276,15 +268,8 @@ pub fn repair_reliability_dp_with_scratch(
         && stride_prev > p
         && scratch.f.len() == scratch.dp_rows * stride_prev;
     if !shape_ok || (stride_prev > p + 1 && keep_rows < n) {
-        return reliability_dp_with_scratch(
-            oracle,
-            chain,
-            platform,
-            period_bound,
-            DpKernel::Chunked,
-            scratch,
-        )
-        .map(|solution| (solution, WarmPath::Resolved));
+        return reliability_dp(oracle, chain, platform, bound, DpKernel::Chunked, scratch)
+            .map(|solution| (solution, WarmPath::Resolved));
     }
 
     let _span = rpo_obs::span!("dp.repair", rows = n - keep_rows.min(n), procs = p);
@@ -348,14 +333,16 @@ pub fn repair_reliability_dp_with_scratch(
     ))
 }
 
-/// The dynamic program against caller-owned scratch: the period minimizer
-/// passes the same scratch to every binary-search probe, reusing the arenas
-/// and warm-starting the admissibility cuts.
-pub(crate) fn reliability_dp_scratch(
+/// The dynamic program shared by Algorithms 1 and 2 against caller-owned
+/// scratch, admitting only intervals whose period requirement fits `bound`
+/// (`+∞` admits every interval). The period minimizer passes the same
+/// scratch to every binary-search probe, reusing the arenas and
+/// warm-starting the admissibility cuts.
+fn reliability_dp(
     oracle: &IntervalOracle,
     chain: &TaskChain,
     platform: &Platform,
-    filter: DpFilter,
+    bound: f64,
     kernel: DpKernel,
     scratch: &mut DpScratch,
 ) -> Option<OptimalMapping> {
@@ -375,14 +362,14 @@ pub(crate) fn reliability_dp_scratch(
     scratch.dp_stride = stride;
 
     match kernel {
-        DpKernel::Chunked => chunked_sweep(oracle, filter.bound(), scratch, 1),
+        DpKernel::Chunked => chunked_sweep(oracle, bound, scratch, 1),
         DpKernel::Scalar => {
             // Only the scalar reference sweep records explicit traceback
             // choices; the chunked kernel keeps its hot loop value-only and
             // recovers winners afterwards (see `recover_choice`).
             scratch.choice.clear();
             scratch.choice.resize((n + 1) * stride, NO_CHOICE);
-            scalar_sweep(oracle, filter.bound(), &mut scratch.f, &mut scratch.choice);
+            scalar_sweep(oracle, bound, &mut scratch.f, &mut scratch.choice);
         }
     }
 
@@ -401,7 +388,7 @@ pub(crate) fn reliability_dp_scratch(
     let (mut i, mut k) = (n, best_k);
     while i > 0 {
         let (j, q) = match kernel {
-            DpKernel::Chunked => recover_choice(oracle, filter.bound(), scratch, stride, i, k),
+            DpKernel::Chunked => recover_choice(oracle, bound, scratch, stride, i, k),
             DpKernel::Scalar => {
                 let packed_f = scratch.choice[i * stride + k];
                 debug_assert!(
@@ -790,66 +777,8 @@ fn scalar_sweep(oracle: &IntervalOracle, bound: f64, f: &mut [f64], choice: &mut
     }
 }
 
-/// Algorithm 1: computes a mapping of maximal reliability on a fully
-/// homogeneous platform, in time `O(n² p K)`.
-///
-/// # Errors
-///
-/// Returns [`AlgoError::HeterogeneousPlatform`] if the platform is not
-/// homogeneous (the dynamic program is only optimal in the homogeneous case).
-pub fn optimize_reliability_homogeneous(
-    chain: &TaskChain,
-    platform: &Platform,
-) -> Result<OptimalMapping> {
-    let oracle = IntervalOracle::new(chain, platform);
-    optimize_reliability_homogeneous_with_oracle(&oracle, chain, platform)
-}
-
-/// Algorithm 1 against a prebuilt [`IntervalOracle`] (the portfolio shares
-/// one oracle across all its backends).
-///
-/// # Errors
-///
-/// Same as [`optimize_reliability_homogeneous`].
-pub fn optimize_reliability_homogeneous_with_oracle(
-    oracle: &IntervalOracle,
-    chain: &TaskChain,
-    platform: &Platform,
-) -> Result<OptimalMapping> {
-    let mut scratch = DpScratch::new();
-    optimize_reliability_homogeneous_with_scratch(oracle, chain, platform, &mut scratch)
-}
-
-/// Algorithm 1 against caller-owned [`DpScratch`]: batch callers (the
-/// portfolio engine's scratch pool) reuse the DP arenas across instances —
-/// allocation reuse only, the admissibility data is rebuilt per run.
-///
-/// # Errors
-///
-/// Same as [`optimize_reliability_homogeneous`].
-pub fn optimize_reliability_homogeneous_with_scratch(
-    oracle: &IntervalOracle,
-    chain: &TaskChain,
-    platform: &Platform,
-    scratch: &mut DpScratch,
-) -> Result<OptimalMapping> {
-    crate::debug_assert_oracle_matches(oracle, chain, platform);
-    if !oracle.is_homogeneous() {
-        return Err(AlgoError::HeterogeneousPlatform);
-    }
-    reliability_dp_scratch(
-        oracle,
-        chain,
-        platform,
-        DpFilter::All,
-        DpKernel::Chunked,
-        scratch,
-    )
-    .ok_or(AlgoError::NoFeasibleMapping)
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rpo_model::{MappingEvaluation, PlatformBuilder};
 
@@ -867,6 +796,17 @@ mod tests {
             .unwrap()
     }
 
+    /// Algorithm 1 (`None`) or 2 on a fresh oracle and scratch (shared by
+    /// the tests of the modules built on the dynamic program).
+    pub(crate) fn solve(
+        c: &TaskChain,
+        p: &Platform,
+        period_bound: Option<f64>,
+    ) -> Result<OptimalMapping> {
+        let oracle = IntervalOracle::new(c, p);
+        optimize_reliability(&oracle, c, p, period_bound, &mut DpScratch::new())
+    }
+
     #[test]
     fn rejects_heterogeneous_platform() {
         let c = chain();
@@ -877,7 +817,7 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(
-            optimize_reliability_homogeneous(&c, &p).unwrap_err(),
+            solve(&c, &p, None).unwrap_err(),
             AlgoError::HeterogeneousPlatform
         );
     }
@@ -886,7 +826,7 @@ mod tests {
     fn reported_reliability_matches_evaluation_of_returned_mapping() {
         let c = chain();
         let p = platform(6, 3);
-        let sol = optimize_reliability_homogeneous(&c, &p).unwrap();
+        let sol = solve(&c, &p, None).unwrap();
         let eval = MappingEvaluation::evaluate(&c, &p, &sol.mapping);
         assert!((sol.reliability - eval.reliability).abs() < 1e-12);
     }
@@ -895,7 +835,7 @@ mod tests {
     fn single_processor_forces_single_unreplicated_interval() {
         let c = chain();
         let p = platform(1, 3);
-        let sol = optimize_reliability_homogeneous(&c, &p).unwrap();
+        let sol = solve(&c, &p, None).unwrap();
         assert_eq!(sol.mapping.num_intervals(), 1);
         assert_eq!(sol.mapping.processors_used(), 1);
     }
@@ -904,7 +844,7 @@ mod tests {
     fn plenty_of_processors_replicates_every_interval_k_times() {
         let c = chain();
         let p = platform(12, 3);
-        let sol = optimize_reliability_homogeneous(&c, &p).unwrap();
+        let sol = solve(&c, &p, None).unwrap();
         for mi in sol.mapping.intervals() {
             assert_eq!(mi.replication(), 3);
         }
@@ -914,7 +854,7 @@ mod tests {
     fn optimum_matches_brute_force_on_small_instance() {
         let c = TaskChain::from_pairs(&[(30.0, 2.0), (10.0, 8.0), (25.0, 1.0)]).unwrap();
         let p = platform(4, 2);
-        let sol = optimize_reliability_homogeneous(&c, &p).unwrap();
+        let sol = solve(&c, &p, None).unwrap();
         let brute = crate::exact::brute_force(&c, &p, f64::INFINITY, f64::INFINITY).unwrap();
         assert!((sol.reliability - brute.reliability).abs() < 1e-12);
     }
@@ -925,21 +865,106 @@ mod tests {
         let mut previous = 0.0;
         for p_count in 1..=8 {
             let p = platform(p_count, 3);
-            let sol = optimize_reliability_homogeneous(&c, &p).unwrap();
+            let sol = solve(&c, &p, None).unwrap();
             assert!(sol.reliability >= previous - 1e-15);
             previous = sol.reliability;
         }
     }
 
     #[test]
-    fn oracle_entry_point_matches_the_wrapper() {
+    fn bound_is_respected_by_returned_mapping() {
         let c = chain();
         let p = platform(6, 3);
-        let oracle = IntervalOracle::new(&c, &p);
-        let direct = optimize_reliability_homogeneous(&c, &p).unwrap();
-        let via_oracle = optimize_reliability_homogeneous_with_oracle(&oracle, &c, &p).unwrap();
-        assert_eq!(direct.reliability, via_oracle.reliability);
-        assert_eq!(direct.mapping, via_oracle.mapping);
+        for bound in [40.0, 45.0, 60.0, 105.0] {
+            let sol = solve(&c, &p, Some(bound)).unwrap();
+            let eval = MappingEvaluation::evaluate(&c, &p, &sol.mapping);
+            assert!(
+                eval.worst_case_period <= bound + 1e-12,
+                "period {} exceeds bound {bound}",
+                eval.worst_case_period
+            );
+            assert!((sol.reliability - eval.reliability).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn infeasible_when_one_task_exceeds_the_bound() {
+        let c = chain(); // largest task work = 40
+        let p = platform(6, 3);
+        assert_eq!(
+            solve(&c, &p, Some(39.0)).unwrap_err(),
+            AlgoError::NoFeasibleMapping
+        );
+    }
+
+    #[test]
+    fn large_bound_recovers_unconstrained_optimum() {
+        let c = chain();
+        let p = platform(6, 3);
+        let constrained = solve(&c, &p, Some(1e9)).unwrap();
+        let unconstrained = solve(&c, &p, None).unwrap();
+        assert!((constrained.reliability - unconstrained.reliability).abs() < 1e-15);
+    }
+
+    #[test]
+    fn tighter_bounds_never_increase_reliability() {
+        let c = chain();
+        let p = platform(6, 3);
+        let mut previous = f64::INFINITY;
+        for bound in [200.0, 105.0, 70.0, 45.0, 40.0] {
+            let sol = solve(&c, &p, Some(bound)).unwrap();
+            assert!(sol.reliability <= previous + 1e-15);
+            previous = sol.reliability;
+        }
+    }
+
+    #[test]
+    fn matches_brute_force_under_period_bound() {
+        let c = TaskChain::from_pairs(&[(30.0, 2.0), (10.0, 8.0), (25.0, 1.0)]).unwrap();
+        let p = platform(4, 2);
+        for bound in [30.0, 40.0, 66.0] {
+            let sol = solve(&c, &p, Some(bound)).unwrap();
+            let brute = crate::exact::brute_force(&c, &p, bound, f64::INFINITY).unwrap();
+            assert!(
+                (sol.reliability - brute.reliability).abs() < 1e-12,
+                "bound {bound}: dp {} vs brute force {}",
+                sol.reliability,
+                brute.reliability
+            );
+        }
+    }
+
+    #[test]
+    fn invalid_bounds_are_rejected() {
+        let c = chain();
+        let p = platform(4, 2);
+        assert_eq!(
+            solve(&c, &p, Some(0.0)).unwrap_err(),
+            AlgoError::InvalidBound("period bound")
+        );
+        assert_eq!(
+            solve(&c, &p, Some(f64::NAN)).unwrap_err(),
+            AlgoError::InvalidBound("period bound")
+        );
+        let het = PlatformBuilder::new()
+            .processor(1.0, 1e-3)
+            .processor(2.0, 1e-3)
+            .max_replication(2)
+            .build()
+            .unwrap();
+        assert_eq!(
+            solve(&c, &het, Some(100.0)).unwrap_err(),
+            AlgoError::HeterogeneousPlatform
+        );
+    }
+
+    #[test]
+    fn period_bound_forces_smaller_intervals() {
+        let c = chain();
+        let p = platform(8, 1); // no replication, plenty of processors
+        let relaxed = solve(&c, &p, Some(1000.0)).unwrap();
+        let tight = solve(&c, &p, Some(40.0)).unwrap();
+        assert!(tight.mapping.num_intervals() > relaxed.mapping.num_intervals());
     }
 
     #[test]
@@ -980,17 +1005,10 @@ mod tests {
         let mut scratch = DpScratch::new();
         // Bounds in binary-search-like (non-monotone) order.
         for bound in [105.0, 45.0, 70.0, 40.0, 1e9, 41.0] {
-            let warm = reliability_dp_scratch(
-                &oracle,
-                &c,
-                &p,
-                DpFilter::PeriodBound(bound),
-                DpKernel::Chunked,
-                &mut scratch,
-            );
-            let fresh = reliability_dp(&oracle, &c, &p, DpFilter::PeriodBound(bound));
+            let warm = optimize_reliability(&oracle, &c, &p, Some(bound), &mut scratch);
+            let fresh = reliability_dp_with_kernel(&oracle, &c, &p, Some(bound), DpKernel::Chunked);
             assert_eq!(
-                warm.map(|s| (s.reliability, s.mapping)),
+                warm.ok().map(|s| (s.reliability, s.mapping)),
                 fresh.map(|s| (s.reliability, s.mapping)),
                 "warm scratch diverged at bound {bound}"
             );

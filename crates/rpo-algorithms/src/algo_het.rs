@@ -21,7 +21,7 @@
 //! The DP runs when the platform passes [`het_dp_applicable`] (class count
 //! `K_c ≤` [`MAX_DP_CLASSES`], state space ≤ [`MAX_DP_STATES`]); otherwise
 //! [`algo_het`] falls back to the Section 7.2 greedy pipeline
-//! ([`greedy_het_with_oracle`]: Heur-L/Heur-P partitions swept over every
+//! ([`greedy_het`]: Heur-L/Heur-P partitions swept over every
 //! interval count + `alloc_het`). When the DP does run, the greedy result is
 //! still computed first and used as its **upper-bound pruner**: every factor
 //! of the reliability product is ≤ 1, so any DP prefix already below the
@@ -85,10 +85,10 @@ use rpo_model::{
 use serde::{Deserialize, Serialize};
 
 use crate::algo1::{DpKernel, OptimalMapping};
-use crate::alloc_het::{algo_alloc_heterogeneous_with_oracle, AllocationConstraints};
-use crate::heur_l::heur_l_partition_with_oracle;
-use crate::heur_p::heur_p_partition_with_oracle;
-use crate::{AlgoError, Result};
+use crate::alloc_het::{algo_alloc_heterogeneous, AllocationConstraints};
+use crate::heur_l::heur_l_partition;
+use crate::heur_p::heur_p_partition;
+use crate::{validate_bound, AlgoError, Result};
 
 /// Largest class count the exact DP accepts; beyond it [`algo_het`] falls
 /// back to the greedy pipeline.
@@ -152,14 +152,6 @@ pub(crate) fn budget_states(view: &ClassView) -> usize {
         .fold(1usize, |acc, m| acc.saturating_mul(m))
 }
 
-pub(crate) fn validate_bound(period_bound: Option<f64>) -> Result<f64> {
-    match period_bound {
-        None => Ok(f64::INFINITY),
-        Some(bound) if bound.is_finite() && bound > 0.0 => Ok(bound),
-        Some(_) => Err(AlgoError::InvalidBound("period bound")),
-    }
-}
-
 /// Mixed-radix strides of the per-class budget digits: state
 /// `s = Σ_c b_c · stride_c` with `b_c ∈ 0 ..= m_c`.
 pub(crate) fn class_strides(view: &ClassView) -> Vec<usize> {
@@ -171,11 +163,12 @@ pub(crate) fn class_strides(view: &ClassView) -> Vec<usize> {
 }
 
 /// `algo_het`: the most reliable mapping of `chain` onto the (possibly
-/// heterogeneous) `platform`, under an optional worst-case period bound.
+/// heterogeneous) `platform`, under an optional worst-case period bound,
+/// with every interval metric read from the shared [`IntervalOracle`].
 ///
 /// Exact (class-level DP) whenever [`het_dp_applicable`] holds; otherwise
 /// the greedy Section 7.2 pipeline. In both cases the result is never less
-/// reliable than [`greedy_het_with_oracle`]'s on the same instance.
+/// reliable than [`greedy_het`]'s on the same instance.
 ///
 /// # Errors
 ///
@@ -183,21 +176,6 @@ pub(crate) fn class_strides(view: &ClassView) -> Vec<usize> {
 ///   number;
 /// * [`AlgoError::NoFeasibleMapping`] if no mapping fits the bound.
 pub fn algo_het(
-    chain: &TaskChain,
-    platform: &Platform,
-    period_bound: Option<f64>,
-) -> Result<HetSolution> {
-    let oracle = IntervalOracle::new(chain, platform);
-    algo_het_with_oracle(&oracle, chain, platform, period_bound)
-}
-
-/// [`algo_het`] against a prebuilt [`IntervalOracle`] (the portfolio shares
-/// one oracle across all its backends).
-///
-/// # Errors
-///
-/// Same as [`algo_het`].
-pub fn algo_het_with_oracle(
     oracle: &IntervalOracle,
     chain: &TaskChain,
     platform: &Platform,
@@ -208,7 +186,7 @@ pub fn algo_het_with_oracle(
 
     // The greedy pipeline first: it is the fallback when the DP cannot run,
     // and the DP's upper-bound pruner when it can.
-    let greedy = greedy_het_with_oracle(oracle, chain, platform, period_bound);
+    let greedy = greedy_het(oracle, chain, platform, period_bound);
     let greedy_reliability = greedy.as_ref().ok().map(|g| g.reliability);
     if !het_dp_applicable(oracle) {
         return greedy.map(|solution| HetSolution {
@@ -259,7 +237,7 @@ pub fn algo_het_with_oracle(
 /// * [`AlgoError::InvalidBound`] if the bound is not a positive finite
 ///   number;
 /// * [`AlgoError::NoFeasibleMapping`] if no candidate fits the bound.
-pub fn greedy_het_with_oracle(
+pub fn greedy_het(
     oracle: &IntervalOracle,
     chain: &TaskChain,
     platform: &Platform,
@@ -274,7 +252,8 @@ pub fn greedy_het_with_oracle(
 /// interval count, each allocated with `alloc_het`, keeping the most
 /// reliable mapping whose worst-case period fits `bound` **and** worst-case
 /// latency fits `latency_bound` (pass `f64::INFINITY` for the period-only
-/// pipeline). Bounds are the callers' responsibility to validate.
+/// pipeline, or for no period bound). Bounds are the callers' responsibility
+/// to validate.
 pub(crate) fn greedy_het_bounded(
     oracle: &IntervalOracle,
     chain: &TaskChain,
@@ -282,36 +261,14 @@ pub(crate) fn greedy_het_bounded(
     bound: f64,
     latency_bound: f64,
 ) -> Result<OptimalMapping> {
-    // alloc_het rejects infinite bounds: substitute a finite value no
-    // feasible interval can exceed (whole chain on the slowest processor,
-    // doubled, plus the largest communication).
-    let alloc_bound = if bound.is_finite() {
-        bound
-    } else {
-        let min_speed = oracle
-            .classes()
-            .iter()
-            .map(|c| c.speed)
-            .fold(f64::INFINITY, f64::min);
-        let max_comm = (0..oracle.len())
-            .map(|i| oracle.output_comm_time(i))
-            .fold(0.0, f64::max);
-        2.0 * oracle.total_work() / min_speed + max_comm
-    };
-
     let constraints = AllocationConstraints::none();
     let mut best: Option<OptimalMapping> = None;
     for num_intervals in 1..=oracle.len().min(oracle.num_processors()) {
-        for partition_fn in [heur_l_partition_with_oracle, heur_p_partition_with_oracle] {
+        for partition_fn in [heur_l_partition, heur_p_partition] {
             let partition = partition_fn(oracle, num_intervals);
-            let Ok(mapping) = algo_alloc_heterogeneous_with_oracle(
-                oracle,
-                chain,
-                platform,
-                &partition,
-                alloc_bound,
-                &constraints,
-            ) else {
+            let Ok(mapping) =
+                algo_alloc_heterogeneous(oracle, chain, platform, &partition, bound, &constraints)
+            else {
                 continue;
             };
             let evaluation = oracle.evaluate(&mapping);
@@ -468,7 +425,7 @@ fn class_dp(
 ///
 /// Panics if [`het_dp_applicable`] does not hold for the oracle, or the
 /// bound is not `None` or a positive finite number (callers go through
-/// [`validate_bound`](self) / [`algo_het`] in production).
+/// [`algo_het`] in production).
 pub fn class_dp_with_kernel(
     oracle: &IntervalOracle,
     chain: &TaskChain,
@@ -791,12 +748,17 @@ mod tests {
             .unwrap()
     }
 
+    /// [`algo_het`] on a fresh oracle.
+    fn solve(c: &TaskChain, p: &Platform, period_bound: Option<f64>) -> Result<HetSolution> {
+        algo_het(&IntervalOracle::new(c, p), c, p, period_bound)
+    }
+
     #[test]
     fn dp_is_exact_on_the_class_fixture() {
         let c = chain();
         let p = class_platform();
         for bound in [None, Some(15.0), Some(30.0), Some(110.0)] {
-            let dp = algo_het(&c, &p, bound).unwrap();
+            let dp = solve(&c, &p, bound).unwrap();
             let brute = exhaustive_het(&c, &p, bound).unwrap();
             assert!(
                 (dp.reliability - brute.reliability).abs()
@@ -814,8 +776,8 @@ mod tests {
         let p = class_platform();
         let oracle = IntervalOracle::new(&c, &p);
         for bound in [None, Some(15.0), Some(40.0), Some(1000.0)] {
-            let het = algo_het_with_oracle(&oracle, &c, &p, bound).unwrap();
-            let greedy = greedy_het_with_oracle(&oracle, &c, &p, bound).unwrap();
+            let het = algo_het(&oracle, &c, &p, bound).unwrap();
+            let greedy = greedy_het(&oracle, &c, &p, bound).unwrap();
             assert!(
                 het.reliability >= greedy.reliability,
                 "bound {bound:?}: algo_het {} below greedy {}",
@@ -830,7 +792,7 @@ mod tests {
         let c = chain();
         let p = class_platform();
         for bound in [15.0, 30.0, 110.0] {
-            let sol = algo_het(&c, &p, Some(bound)).unwrap();
+            let sol = solve(&c, &p, Some(bound)).unwrap();
             let eval = MappingEvaluation::evaluate(&c, &p, &sol.mapping);
             assert!(
                 eval.worst_case_period <= bound,
@@ -851,12 +813,17 @@ mod tests {
             .max_replication(3)
             .build()
             .unwrap();
-        let het = algo_het(&c, &p, None).unwrap();
-        let algo1 = crate::optimize_reliability_homogeneous(&c, &p).unwrap();
+        let het = solve(&c, &p, None).unwrap();
+        let oracle = IntervalOracle::new(&c, &p);
+        let algo1 =
+            crate::optimize_reliability(&oracle, &c, &p, None, &mut crate::DpScratch::new())
+                .unwrap();
         assert!((het.reliability - algo1.reliability).abs() < 1e-12);
         for bound in [45.0, 70.0, 105.0] {
-            let het = algo_het(&c, &p, Some(bound)).unwrap();
-            let algo2 = crate::optimize_reliability_with_period_bound(&c, &p, bound).unwrap();
+            let het = solve(&c, &p, Some(bound)).unwrap();
+            let mut scratch = crate::DpScratch::new();
+            let algo2 =
+                crate::optimize_reliability(&oracle, &c, &p, Some(bound), &mut scratch).unwrap();
             assert!(
                 (het.reliability - algo2.reliability).abs() < 1e-12,
                 "bound {bound}: {} vs {}",
@@ -880,9 +847,9 @@ mod tests {
         let oracle = IntervalOracle::new(&c, &p);
         assert_eq!(oracle.classes().len(), 5);
         assert!(!het_dp_applicable(&oracle));
-        let sol = algo_het_with_oracle(&oracle, &c, &p, Some(100.0)).unwrap();
+        let sol = algo_het(&oracle, &c, &p, Some(100.0)).unwrap();
         assert_eq!(sol.method, HetMethod::Greedy);
-        let greedy = greedy_het_with_oracle(&oracle, &c, &p, Some(100.0)).unwrap();
+        let greedy = greedy_het(&oracle, &c, &p, Some(100.0)).unwrap();
         assert_eq!(sol.reliability, greedy.reliability);
     }
 
@@ -891,12 +858,12 @@ mod tests {
         let c = chain(); // largest task work 40, fastest class speed 4
         let p = class_platform();
         assert_eq!(
-            algo_het(&c, &p, Some(5.0)).unwrap_err(),
+            solve(&c, &p, Some(5.0)).unwrap_err(),
             AlgoError::NoFeasibleMapping
         );
         for bad in [0.0, -3.0, f64::NAN, f64::INFINITY] {
             assert_eq!(
-                algo_het(&c, &p, Some(bad)).unwrap_err(),
+                solve(&c, &p, Some(bad)).unwrap_err(),
                 AlgoError::InvalidBound("period bound")
             );
         }
@@ -906,8 +873,8 @@ mod tests {
     fn solving_twice_lowers_to_the_identical_mapping() {
         let c = chain();
         let p = class_platform();
-        let a = algo_het(&c, &p, Some(30.0)).unwrap();
-        let b = algo_het(&c, &p, Some(30.0)).unwrap();
+        let a = solve(&c, &p, Some(30.0)).unwrap();
+        let b = solve(&c, &p, Some(30.0)).unwrap();
         assert_eq!(a.mapping, b.mapping);
         assert_eq!(a.method, HetMethod::ClassDp);
     }

@@ -42,7 +42,7 @@
 //! lies on the convex hull of the instance's (latency, log-reliability)
 //! Pareto curve; between hull points it is a heuristic — which is why the
 //! greedy pipeline's feasible incumbent is still compared at the end, and
-//! the result never trails [`greedy_het_lat_with_oracle`].
+//! the result never trails [`greedy_het_lat`].
 
 use rpo_model::{assignment_from_segments, IntervalOracle, Mapping, Platform, TaskChain};
 use serde::{Deserialize, Serialize};
@@ -50,9 +50,9 @@ use serde::{Deserialize, Serialize};
 use crate::algo1::{DpScratch, OptimalMapping};
 use crate::algo_het::{
     budget_states, class_strides, enumerate_patterns, greedy_het_bounded, het_dp_applicable,
-    validate_bound, Pattern, Segments, MAX_EXHAUSTIVE_HET_TASKS,
+    Pattern, Segments, MAX_EXHAUSTIVE_HET_TASKS,
 };
-use crate::{AlgoError, Result};
+use crate::{validate_bound, AlgoError, Result};
 
 /// Largest total number of live `(latency, reliability)` labels the exact
 /// latency DP may hold across all `(boundary, budgets)` states; beyond it
@@ -147,8 +147,14 @@ fn validate_latency_bound(latency_bound: f64) -> Result<f64> {
 /// on label overflow within that regime; and the latency-aware greedy
 /// pipeline alone when the class DP is not applicable at all (too many
 /// classes / budget states). In all cases the result is never less reliable
-/// than [`greedy_het_lat_with_oracle`]'s on the same instance, and the
-/// returned mapping never violates either bound.
+/// than [`greedy_het_lat`]'s on the same instance, and the returned mapping
+/// never violates either bound.
+///
+/// Interval metrics come from the shared [`IntervalOracle`]. The label DP's
+/// per-state label vectors and per-class gather buffers live in `scratch`'s
+/// pooled arenas (`HetLatArenas`), so a batch driver that reuses one scratch
+/// across latency-bounded solves stops churning allocations (reuse is
+/// visible through the `het_lat.label_pool.{hits,misses}` counters).
 ///
 /// # Errors
 ///
@@ -158,50 +164,6 @@ fn validate_latency_bound(latency_bound: f64) -> Result<f64> {
 ///   latency bound below the single-interval floor
 ///   [`IntervalOracle::latency_floor`]).
 pub fn algo_het_lat(
-    chain: &TaskChain,
-    platform: &Platform,
-    period_bound: Option<f64>,
-    latency_bound: f64,
-) -> Result<HetLatSolution> {
-    let oracle = IntervalOracle::new(chain, platform);
-    algo_het_lat_with_oracle(&oracle, chain, platform, period_bound, latency_bound)
-}
-
-/// [`algo_het_lat`] against a prebuilt [`IntervalOracle`] (the portfolio
-/// shares one oracle across all its backends).
-///
-/// # Errors
-///
-/// Same as [`algo_het_lat`].
-pub fn algo_het_lat_with_oracle(
-    oracle: &IntervalOracle,
-    chain: &TaskChain,
-    platform: &Platform,
-    period_bound: Option<f64>,
-    latency_bound: f64,
-) -> Result<HetLatSolution> {
-    let mut scratch = DpScratch::new();
-    algo_het_lat_with_scratch(
-        oracle,
-        chain,
-        platform,
-        period_bound,
-        latency_bound,
-        &mut scratch,
-    )
-}
-
-/// [`algo_het_lat_with_oracle`] against caller-owned [`DpScratch`]: the
-/// label DP's per-state label vectors and per-class gather buffers live in
-/// the scratch's pooled arenas (`HetLatArenas`), so a batch driver that
-/// reuses one scratch across latency-bounded solves stops churning
-/// allocations (reuse is visible through the
-/// `het_lat.label_pool.{hits,misses}` counters).
-///
-/// # Errors
-///
-/// Same as [`algo_het_lat`].
-pub fn algo_het_lat_with_scratch(
     oracle: &IntervalOracle,
     chain: &TaskChain,
     platform: &Platform,
@@ -216,7 +178,7 @@ pub fn algo_het_lat_with_scratch(
 
     // The latency-aware greedy pipeline first: fallback when the DP cannot
     // run, upper-bound pruner when it can.
-    let greedy = greedy_het_lat_with_oracle(oracle, chain, platform, period_bound, latency_bound);
+    let greedy = greedy_het_lat(oracle, chain, platform, period_bound, latency_bound);
     let greedy_reliability = greedy.as_ref().ok().map(|g| g.reliability);
     if !het_dp_applicable(oracle) {
         return greedy.map(|solution| {
@@ -304,7 +266,7 @@ pub fn algo_het_lat_with_scratch(
 /// and Heur-P partitions for every interval count, each allocated with
 /// `alloc_het`, keeping the most reliable mapping whose worst-case period
 /// *and* latency fit the bounds — the latency-aware analogue of
-/// [`greedy_het_with_oracle`](crate::greedy_het_with_oracle), and the
+/// [`greedy_het`](crate::greedy_het), and the
 /// comparison baseline of the `BENCH_het_lat.json` benchmark and the
 /// `--het-lat` experiment sweep.
 ///
@@ -312,7 +274,7 @@ pub fn algo_het_lat_with_scratch(
 ///
 /// * [`AlgoError::InvalidBound`] if a bound is invalid;
 /// * [`AlgoError::NoFeasibleMapping`] if no candidate fits the bounds.
-pub fn greedy_het_lat_with_oracle(
+pub fn greedy_het_lat(
     oracle: &IntervalOracle,
     chain: &TaskChain,
     platform: &Platform,
@@ -1031,13 +993,41 @@ mod tests {
             .unwrap()
     }
 
+    /// [`algo_het_lat`] against `oracle` with a fresh scratch.
+    fn het_lat_on(
+        oracle: &IntervalOracle,
+        c: &TaskChain,
+        p: &Platform,
+        period_bound: Option<f64>,
+        latency_bound: f64,
+    ) -> Result<HetLatSolution> {
+        let mut scratch = DpScratch::new();
+        algo_het_lat(oracle, c, p, period_bound, latency_bound, &mut scratch)
+    }
+
+    /// [`algo_het_lat`] on a fresh oracle and scratch.
+    fn het_lat(
+        c: &TaskChain,
+        p: &Platform,
+        period_bound: Option<f64>,
+        latency_bound: f64,
+    ) -> Result<HetLatSolution> {
+        het_lat_on(
+            &IntervalOracle::new(c, p),
+            c,
+            p,
+            period_bound,
+            latency_bound,
+        )
+    }
+
     #[test]
     fn lat_dp_is_exact_on_the_class_fixture() {
         let c = chain();
         let p = class_platform();
         for period in [None, Some(30.0), Some(110.0)] {
             for latency in [30.0, 40.0, 60.0, 120.0] {
-                let dp = algo_het_lat(&c, &p, period, latency);
+                let dp = het_lat(&c, &p, period, latency);
                 let brute = exhaustive_het_lat(&c, &p, period, latency);
                 match (dp, brute) {
                     (Ok(dp), Ok(brute)) => assert!(
@@ -1064,7 +1054,7 @@ mod tests {
         let p = class_platform();
         let mut saw_multi_point_front = false;
         for latency in [35.0, 45.0, 60.0, 120.0] {
-            let Ok(sol) = algo_het_lat(&c, &p, None, latency) else {
+            let Ok(sol) = het_lat(&c, &p, None, latency) else {
                 continue;
             };
             assert!(!sol.front.is_empty(), "latency {latency}: empty front");
@@ -1110,7 +1100,7 @@ mod tests {
         let c = chain();
         let p = class_platform();
         for (period, latency) in [(Some(30.0), 50.0), (Some(110.0), 40.0), (None, 33.0)] {
-            let Ok(sol) = algo_het_lat(&c, &p, period, latency) else {
+            let Ok(sol) = het_lat(&c, &p, period, latency) else {
                 continue;
             };
             let eval = MappingEvaluation::evaluate(&c, &p, &sol.mapping);
@@ -1129,8 +1119,8 @@ mod tests {
         let p = class_platform();
         let oracle = IntervalOracle::new(&c, &p);
         for latency in [28.0, 40.0, 60.0, 200.0] {
-            let dp = algo_het_lat_with_oracle(&oracle, &c, &p, Some(40.0), latency);
-            let greedy = greedy_het_lat_with_oracle(&oracle, &c, &p, Some(40.0), latency);
+            let dp = het_lat_on(&oracle, &c, &p, Some(40.0), latency);
+            let greedy = greedy_het_lat(&oracle, &c, &p, Some(40.0), latency);
             if let Ok(greedy) = greedy {
                 let dp = dp.expect("greedy feasible implies algo_het_lat feasible");
                 assert!(
@@ -1152,11 +1142,11 @@ mod tests {
         let floor = oracle.latency_floor();
         // Exactly at the floor: the single fast-class interval fits
         // bit-for-bit.
-        let at = algo_het_lat(&c, &p, None, floor).unwrap();
+        let at = het_lat(&c, &p, None, floor).unwrap();
         assert_eq!(at.worst_case_latency, floor);
         // Strictly below: clean infeasibility, no panic.
         assert_eq!(
-            algo_het_lat(&c, &p, None, floor * 0.999).unwrap_err(),
+            het_lat(&c, &p, None, floor * 0.999).unwrap_err(),
             AlgoError::NoFeasibleMapping
         );
         assert_eq!(
@@ -1171,7 +1161,7 @@ mod tests {
         let p = class_platform();
         for bad in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             assert_eq!(
-                algo_het_lat(&c, &p, None, bad).unwrap_err(),
+                het_lat(&c, &p, None, bad).unwrap_err(),
                 AlgoError::InvalidBound("latency bound")
             );
             assert_eq!(
@@ -1180,7 +1170,7 @@ mod tests {
             );
         }
         assert_eq!(
-            algo_het_lat(&c, &p, Some(f64::NAN), 100.0).unwrap_err(),
+            het_lat(&c, &p, Some(f64::NAN), 100.0).unwrap_err(),
             AlgoError::InvalidBound("period bound")
         );
     }
@@ -1191,8 +1181,8 @@ mod tests {
         let p = class_platform();
         let oracle = IntervalOracle::new(&c, &p);
         for period in [Some(30.0), Some(110.0), None] {
-            let lat = algo_het_lat_with_oracle(&oracle, &c, &p, period, 1e9).unwrap();
-            let het = crate::algo_het_with_oracle(&oracle, &c, &p, period).unwrap();
+            let lat = het_lat_on(&oracle, &c, &p, period, 1e9).unwrap();
+            let het = crate::algo_het(&oracle, &c, &p, period).unwrap();
             assert!(
                 (lat.reliability - het.reliability).abs() <= 1e-12 * het.reliability,
                 "period {period:?}: {} vs {}",
@@ -1215,9 +1205,9 @@ mod tests {
         let p = builder.build().unwrap();
         let oracle = IntervalOracle::new(&c, &p);
         assert!(!het_dp_applicable(&oracle));
-        let sol = algo_het_lat_with_oracle(&oracle, &c, &p, Some(100.0), 100.0).unwrap();
+        let sol = het_lat_on(&oracle, &c, &p, Some(100.0), 100.0).unwrap();
         assert_eq!(sol.method, HetLatMethod::Greedy);
-        let greedy = greedy_het_lat_with_oracle(&oracle, &c, &p, Some(100.0), 100.0).unwrap();
+        let greedy = greedy_het_lat(&oracle, &c, &p, Some(100.0), 100.0).unwrap();
         assert_eq!(sol.reliability, greedy.reliability);
         assert!(sol.worst_case_latency <= 100.0);
     }
@@ -1230,7 +1220,7 @@ mod tests {
         let c = chain();
         let p = class_platform();
         let oracle = IntervalOracle::new(&c, &p);
-        let exact = algo_het_lat_with_oracle(&oracle, &c, &p, Some(40.0), 45.0).unwrap();
+        let exact = het_lat_on(&oracle, &c, &p, Some(40.0), 45.0).unwrap();
         let swept = lagrangian_sweep(&oracle, &c, &p, Some(40.0), 45.0).unwrap();
         let eval = oracle.evaluate(&swept.mapping);
         assert!(eval.worst_case_latency <= 45.0);
@@ -1267,7 +1257,7 @@ mod tests {
         // And μ = 0 recovers the latency-unconstrained reliability optimum.
         let (_, reliability, _) =
             penalized_dp(&oracle, &c, &p, f64::INFINITY, 0.0, num_states, &patterns).unwrap();
-        let het = crate::algo_het_with_oracle(&oracle, &c, &p, None).unwrap();
+        let het = crate::algo_het(&oracle, &c, &p, None).unwrap();
         assert!((reliability - het.reliability).abs() <= 1e-12 * het.reliability);
     }
 
@@ -1275,8 +1265,8 @@ mod tests {
     fn solving_twice_is_deterministic() {
         let c = chain();
         let p = class_platform();
-        let a = algo_het_lat(&c, &p, Some(30.0), 60.0).unwrap();
-        let b = algo_het_lat(&c, &p, Some(30.0), 60.0).unwrap();
+        let a = het_lat(&c, &p, Some(30.0), 60.0).unwrap();
+        let b = het_lat(&c, &p, Some(30.0), 60.0).unwrap();
         assert_eq!(a.mapping, b.mapping);
         assert_eq!(a.method, HetLatMethod::LatDp);
     }

@@ -51,8 +51,9 @@ impl AllocationPlan {
 }
 
 /// Algo-Alloc: computes the optimal number of replicas per interval of
-/// `partition` on a homogeneous platform, and returns the corresponding
-/// mapping.
+/// `partition` on a homogeneous platform, reading each interval's
+/// replica-block reliability from the [`IntervalOracle`], and returns the
+/// corresponding mapping.
 ///
 /// # Errors
 ///
@@ -60,47 +61,18 @@ impl AllocationPlan {
 /// * [`AlgoError::NotEnoughProcessors`] if there are fewer processors than
 ///   intervals.
 pub fn algo_alloc(
-    chain: &TaskChain,
-    platform: &Platform,
-    partition: &IntervalPartition,
-) -> Result<Mapping> {
-    let oracle = IntervalOracle::new(chain, platform);
-    algo_alloc_with_oracle(&oracle, chain, platform, partition)
-}
-
-/// Algo-Alloc against a prebuilt [`IntervalOracle`].
-///
-/// # Errors
-///
-/// Same as [`algo_alloc`].
-pub fn algo_alloc_with_oracle(
     oracle: &IntervalOracle,
     chain: &TaskChain,
     platform: &Platform,
     partition: &IntervalPartition,
 ) -> Result<Mapping> {
     crate::debug_assert_oracle_matches(oracle, chain, platform);
-    let plan = algo_alloc_plan_with_oracle(oracle, partition)?;
+    let plan = algo_alloc_plan(oracle, partition)?;
     plan.into_mapping(partition, chain, platform)
 }
 
-/// The replica-count computation behind [`algo_alloc`], exposed for tests and
-/// ablation benchmarks.
-pub fn algo_alloc_plan(
-    chain: &TaskChain,
-    platform: &Platform,
-    partition: &IntervalPartition,
-) -> Result<AllocationPlan> {
-    let oracle = IntervalOracle::new(chain, platform);
-    algo_alloc_plan_with_oracle(&oracle, partition)
-}
-
-/// The replica-count computation against a prebuilt [`IntervalOracle`].
-///
-/// # Errors
-///
-/// Same as [`algo_alloc_plan`].
-pub fn algo_alloc_plan_with_oracle(
+/// The replica-count computation behind [`algo_alloc`].
+pub(crate) fn algo_alloc_plan(
     oracle: &IntervalOracle,
     partition: &IntervalPartition,
 ) -> Result<AllocationPlan> {
@@ -249,12 +221,17 @@ mod tests {
             .unwrap()
     }
 
+    /// [`algo_alloc`] on a fresh oracle.
+    fn alloc(c: &TaskChain, p: &Platform, partition: &IntervalPartition) -> Result<Mapping> {
+        algo_alloc(&IntervalOracle::new(c, p), c, p, partition)
+    }
+
     #[test]
     fn allocates_every_processor_when_k_allows() {
         let c = chain();
         let p = platform(7, 3);
         let partition = IntervalPartition::from_cut_points(&[1, 3], 5).unwrap();
-        let mapping = algo_alloc(&c, &p, &partition).unwrap();
+        let mapping = alloc(&c, &p, &partition).unwrap();
         assert_eq!(mapping.processors_used(), 7);
         assert_eq!(mapping.num_intervals(), 3);
         for mi in mapping.intervals() {
@@ -267,7 +244,7 @@ mod tests {
         let c = chain();
         let p = platform(10, 2);
         let partition = IntervalPartition::from_cut_points(&[1, 3], 5).unwrap();
-        let mapping = algo_alloc(&c, &p, &partition).unwrap();
+        let mapping = alloc(&c, &p, &partition).unwrap();
         // 3 intervals, K = 2: at most 6 processors can be used.
         assert_eq!(mapping.processors_used(), 6);
         for mi in mapping.intervals() {
@@ -281,7 +258,7 @@ mod tests {
         let p = platform(2, 3);
         let partition = IntervalPartition::from_cut_points(&[1, 3], 5).unwrap();
         assert_eq!(
-            algo_alloc(&c, &p, &partition).unwrap_err(),
+            alloc(&c, &p, &partition).unwrap_err(),
             AlgoError::NotEnoughProcessors {
                 intervals: 3,
                 processors: 2
@@ -301,7 +278,7 @@ mod tests {
             .unwrap();
         let partition = IntervalPartition::from_cut_points(&[1], 5).unwrap();
         assert_eq!(
-            algo_alloc(&c, &p, &partition).unwrap_err(),
+            alloc(&c, &p, &partition).unwrap_err(),
             AlgoError::HeterogeneousPlatform
         );
     }
@@ -316,7 +293,7 @@ mod tests {
                 if partition.len() > p_count {
                     continue;
                 }
-                let greedy = algo_alloc(&c, &p, &partition).unwrap();
+                let greedy = alloc(&c, &p, &partition).unwrap();
                 let exhaustive = exhaustive_alloc(&c, &p, &partition).unwrap();
                 let rg = reliability::mapping_reliability(&c, &p, &greedy);
                 let re = reliability::mapping_reliability(&c, &p, &exhaustive);
@@ -335,7 +312,7 @@ mod tests {
         let c = TaskChain::from_pairs(&[(100.0, 1.0), (1.0, 0.0)]).unwrap();
         let p = platform(3, 2);
         let partition = IntervalPartition::from_cut_points(&[0], 2).unwrap();
-        let mapping = algo_alloc(&c, &p, &partition).unwrap();
+        let mapping = alloc(&c, &p, &partition).unwrap();
         assert_eq!(mapping.interval(0).replication(), 2);
         assert_eq!(mapping.interval(1).replication(), 1);
     }
@@ -346,8 +323,8 @@ mod tests {
         let partition = IntervalPartition::from_cut_points(&[1, 3], 5).unwrap();
         let small = platform(3, 3);
         let large = platform(9, 3);
-        let m_small = algo_alloc(&c, &small, &partition).unwrap();
-        let m_large = algo_alloc(&c, &large, &partition).unwrap();
+        let m_small = alloc(&c, &small, &partition).unwrap();
+        let m_large = alloc(&c, &large, &partition).unwrap();
         let e_small = MappingEvaluation::evaluate(&c, &small, &m_small);
         let e_large = MappingEvaluation::evaluate(&c, &large, &m_large);
         assert!((e_small.worst_case_period - e_large.worst_case_period).abs() < 1e-12);

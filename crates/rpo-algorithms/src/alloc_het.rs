@@ -75,40 +75,18 @@ impl AllocationConstraints {
 
 /// Section 7.2 allocation: assigns heterogeneous processors to the intervals
 /// of `partition` under a period bound, maximizing reliability greedily.
+/// Interval works, replica-set reliabilities and the per-processor period
+/// checks are all O(1) reads of the [`IntervalOracle`]. A `period_bound` of
+/// `f64::INFINITY` means "no period bound": every processor may run every
+/// interval.
 ///
 /// # Errors
 ///
-/// * [`AlgoError::InvalidBound`] if the period bound is not positive and
-///   finite;
+/// * [`AlgoError::InvalidBound`] if the period bound is NaN or not positive;
 /// * [`AlgoError::NoFeasibleMapping`] if some interval cannot receive any
 ///   processor without violating the period bound (or the allocation
 ///   constraints).
 pub fn algo_alloc_heterogeneous(
-    chain: &TaskChain,
-    platform: &Platform,
-    partition: &IntervalPartition,
-    period_bound: f64,
-    constraints: &AllocationConstraints,
-) -> Result<Mapping> {
-    let oracle = IntervalOracle::new(chain, platform);
-    algo_alloc_heterogeneous_with_oracle(
-        &oracle,
-        chain,
-        platform,
-        partition,
-        period_bound,
-        constraints,
-    )
-}
-
-/// Section 7.2 allocation against a prebuilt [`IntervalOracle`]: interval
-/// works, replica-set reliabilities and the per-processor period checks are
-/// all O(1) oracle reads.
-///
-/// # Errors
-///
-/// Same as [`algo_alloc_heterogeneous`].
-pub fn algo_alloc_heterogeneous_with_oracle(
     oracle: &IntervalOracle,
     chain: &TaskChain,
     platform: &Platform,
@@ -117,7 +95,7 @@ pub fn algo_alloc_heterogeneous_with_oracle(
     constraints: &AllocationConstraints,
 ) -> Result<Mapping> {
     crate::debug_assert_oracle_matches(oracle, chain, platform);
-    if !(period_bound.is_finite() && period_bound > 0.0) {
+    if period_bound.is_nan() || period_bound <= 0.0 {
         return Err(AlgoError::InvalidBound("period bound"));
     }
     let m = partition.len();
@@ -223,14 +201,24 @@ mod tests {
             .unwrap()
     }
 
+    /// [`algo_alloc_heterogeneous`] on a fresh oracle.
+    fn alloc_het(
+        c: &TaskChain,
+        p: &Platform,
+        partition: &IntervalPartition,
+        period_bound: f64,
+        constraints: &AllocationConstraints,
+    ) -> Result<Mapping> {
+        let oracle = IntervalOracle::new(c, p);
+        algo_alloc_heterogeneous(&oracle, c, p, partition, period_bound, constraints)
+    }
+
     #[test]
     fn produces_a_valid_mapping_covering_every_interval() {
         let c = chain();
         let p = het_platform();
         let partition = IntervalPartition::from_cut_points(&[1], 4).unwrap();
-        let mapping =
-            algo_alloc_heterogeneous(&c, &p, &partition, 100.0, &AllocationConstraints::none())
-                .unwrap();
+        let mapping = alloc_het(&c, &p, &partition, 100.0, &AllocationConstraints::none()).unwrap();
         assert_eq!(mapping.num_intervals(), 2);
         for mi in mapping.intervals() {
             assert!(!mi.processors.is_empty());
@@ -245,9 +233,7 @@ mod tests {
         let partition = IntervalPartition::from_cut_points(&[1], 4).unwrap();
         // Interval 0 has W = 40, interval 1 has W = 65. With P = 20, only
         // processors of speed >= 3.25 can execute interval 1.
-        let mapping =
-            algo_alloc_heterogeneous(&c, &p, &partition, 20.0, &AllocationConstraints::none())
-                .unwrap();
+        let mapping = alloc_het(&c, &p, &partition, 20.0, &AllocationConstraints::none()).unwrap();
         for mi in mapping.intervals() {
             for &u in &mi.processors {
                 assert!(
@@ -266,8 +252,7 @@ mod tests {
         let c = chain(); // one interval of total work 105
         let p = het_platform(); // fastest speed 5 -> period 21
         let partition = IntervalPartition::single(4).unwrap();
-        let result =
-            algo_alloc_heterogeneous(&c, &p, &partition, 20.0, &AllocationConstraints::none());
+        let result = alloc_het(&c, &p, &partition, 20.0, &AllocationConstraints::none());
         assert_eq!(result.unwrap_err(), AlgoError::NoFeasibleMapping);
     }
 
@@ -289,8 +274,7 @@ mod tests {
             }
             let p = builder.build().unwrap();
             let mapping =
-                algo_alloc_heterogeneous(&c, &p, &partition, 1e6, &AllocationConstraints::none())
-                    .unwrap();
+                alloc_het(&c, &p, &partition, 1e6, &AllocationConstraints::none()).unwrap();
             let r = MappingEvaluation::evaluate(&c, &p, &mapping).reliability;
             assert!(
                 r >= previous - 1e-15,
@@ -309,15 +293,14 @@ mod tests {
         // which belongs to interval 1.
         let mut constraints = AllocationConstraints::none();
         constraints.forbid(3, 2);
-        let mapping = algo_alloc_heterogeneous(&c, &p, &partition, 1000.0, &constraints).unwrap();
+        let mapping = alloc_het(&c, &p, &partition, 1000.0, &constraints).unwrap();
         assert!(
             !mapping.interval(1).processors.contains(&2),
             "forbidden processor was allocated to the constrained interval"
         );
         // It can still serve interval 0.
         let unconstrained =
-            algo_alloc_heterogeneous(&c, &p, &partition, 1000.0, &AllocationConstraints::none())
-                .unwrap();
+            alloc_het(&c, &p, &partition, 1000.0, &AllocationConstraints::none()).unwrap();
         assert!(unconstrained.processors_used() >= mapping.processors_used());
     }
 
@@ -327,8 +310,7 @@ mod tests {
         let p = het_platform();
         let partition = IntervalPartition::from_cut_points(&[1], 4).unwrap();
         assert_eq!(
-            algo_alloc_heterogeneous(&c, &p, &partition, -1.0, &AllocationConstraints::none())
-                .unwrap_err(),
+            alloc_het(&c, &p, &partition, -1.0, &AllocationConstraints::none()).unwrap_err(),
             AlgoError::InvalidBound("period bound")
         );
         let tiny = PlatformBuilder::new()
@@ -337,8 +319,7 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(
-            algo_alloc_heterogeneous(&c, &tiny, &partition, 1e6, &AllocationConstraints::none())
-                .unwrap_err(),
+            alloc_het(&c, &tiny, &partition, 1e6, &AllocationConstraints::none()).unwrap_err(),
             AlgoError::NotEnoughProcessors {
                 intervals: 2,
                 processors: 1
@@ -359,9 +340,9 @@ mod tests {
             .build()
             .unwrap();
         let partition = IntervalPartition::from_cut_points(&[1], 4).unwrap();
-        let het = algo_alloc_heterogeneous(&c, &p, &partition, 1e9, &AllocationConstraints::none())
-            .unwrap();
-        let hom = crate::alloc::algo_alloc(&c, &p, &partition).unwrap();
+        let het = alloc_het(&c, &p, &partition, 1e9, &AllocationConstraints::none()).unwrap();
+        let hom =
+            crate::alloc::algo_alloc(&IntervalOracle::new(&c, &p), &c, &p, &partition).unwrap();
         let r_het = MappingEvaluation::evaluate(&c, &p, &het).reliability;
         let r_hom = MappingEvaluation::evaluate(&c, &p, &hom).reliability;
         assert!((r_het - r_hom).abs() < 1e-14);

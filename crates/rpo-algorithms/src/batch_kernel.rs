@@ -145,7 +145,7 @@ impl BatchScratch {
 /// each lane's optimal mapping (`None` = infeasible under its bound) in
 /// input order.
 ///
-/// Results are bit-identical to running [`crate::reliability_dp_with_scratch`]
+/// Results are bit-identical to running [`crate::reliability_dp_with_kernel`]
 /// with the chunked kernel per instance: same feasibility verdicts, same DP
 /// values, same reconstructed mappings (the workspace differential suite
 /// asserts exactly that). Batches larger than [`LANES`] are processed in

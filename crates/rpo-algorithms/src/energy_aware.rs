@@ -14,7 +14,7 @@ use rpo_model::energy::{self, PowerModel};
 use rpo_model::{IntervalOracle, MappedInterval, Mapping, MappingEvaluation, Platform, TaskChain};
 use serde::{Deserialize, Serialize};
 
-use crate::heuristic::{run_heuristic_with_oracle, HeuristicConfig, HeuristicSolution};
+use crate::heuristic::{run_heuristic, HeuristicConfig, HeuristicSolution};
 use crate::{AlgoError, Result};
 
 /// Configuration of an energy-budgeted heuristic run.
@@ -98,14 +98,16 @@ fn prune_to_budget(
 
 /// Runs one of the Section 7 heuristics under an additional energy budget per
 /// data set, returning the most reliable mapping that satisfies the period,
-/// latency and energy constraints.
+/// latency and energy constraints. Interval metrics come from the shared
+/// [`IntervalOracle`].
 ///
 /// # Errors
 ///
 /// * [`AlgoError::InvalidBound`] if the energy budget is not positive;
-/// * the errors of [`run_heuristic`](crate::run_heuristic);
+/// * the errors of [`run_heuristic`];
 /// * [`AlgoError::NoFeasibleMapping`] if no candidate fits all three budgets.
 pub fn run_energy_aware_heuristic(
+    oracle: &IntervalOracle,
     chain: &TaskChain,
     platform: &Platform,
     config: &EnergyAwareConfig,
@@ -113,15 +115,13 @@ pub fn run_energy_aware_heuristic(
     if config.energy_budget <= 0.0 || config.energy_budget.is_nan() {
         return Err(AlgoError::InvalidBound("energy budget"));
     }
-    let oracle = IntervalOracle::new(chain, platform);
     // Start from the unbudgeted heuristic solution for every interval count:
     // run_heuristic already returns the best one; to keep the search broad we
     // prune that best candidate and also the single-interval fallback.
-    let base: HeuristicSolution =
-        run_heuristic_with_oracle(&oracle, chain, platform, &config.base)?;
+    let base: HeuristicSolution = run_heuristic(oracle, chain, platform, &config.base)?;
 
     let pruned = prune_to_budget(
-        &oracle,
+        oracle,
         chain,
         platform,
         &base.mapping,
@@ -145,7 +145,7 @@ pub fn run_energy_aware_heuristic(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_heuristic, IntervalHeuristic};
+    use crate::IntervalHeuristic;
     use rpo_model::PlatformBuilder;
 
     fn chain() -> TaskChain {
@@ -169,6 +169,15 @@ mod tests {
             .unwrap()
     }
 
+    /// [`run_energy_aware_heuristic`] on a fresh oracle.
+    fn energy_aware(
+        c: &TaskChain,
+        p: &Platform,
+        config: &EnergyAwareConfig,
+    ) -> Result<EnergyAwareSolution> {
+        run_energy_aware_heuristic(&IntervalOracle::new(c, p), c, p, config)
+    }
+
     fn base_config() -> HeuristicConfig {
         HeuristicConfig {
             interval_heuristic: IntervalHeuristic::MinPeriod,
@@ -181,8 +190,9 @@ mod tests {
     fn generous_budget_changes_nothing() {
         let c = chain();
         let p = platform();
-        let unbudgeted = run_heuristic(&c, &p, &base_config()).unwrap();
-        let solution = run_energy_aware_heuristic(
+        let unbudgeted =
+            run_heuristic(&IntervalOracle::new(&c, &p), &c, &p, &base_config()).unwrap();
+        let solution = energy_aware(
             &c,
             &p,
             &EnergyAwareConfig {
@@ -200,12 +210,13 @@ mod tests {
         let c = chain();
         let p = platform();
         let model = PowerModel::cubic();
-        let unbudgeted = run_heuristic(&c, &p, &base_config()).unwrap();
+        let unbudgeted =
+            run_heuristic(&IntervalOracle::new(&c, &p), &c, &p, &base_config()).unwrap();
         let full_energy =
             rpo_model::energy::energy_per_dataset(&c, &p, &unbudgeted.mapping, &model);
 
         let budget = full_energy * 0.6;
-        let solution = run_energy_aware_heuristic(
+        let solution = energy_aware(
             &c,
             &p,
             &EnergyAwareConfig {
@@ -228,7 +239,7 @@ mod tests {
         let p = platform();
         // Even one replica per interval needs at least total-work energy under
         // the cubic model on unit-speed processors.
-        let result = run_energy_aware_heuristic(
+        let result = energy_aware(
             &c,
             &p,
             &EnergyAwareConfig {
@@ -244,7 +255,7 @@ mod tests {
     fn invalid_budget_rejected() {
         let c = chain();
         let p = platform();
-        let result = run_energy_aware_heuristic(
+        let result = energy_aware(
             &c,
             &p,
             &EnergyAwareConfig {
@@ -264,12 +275,13 @@ mod tests {
         let c = chain();
         let p = platform();
         let model = PowerModel::cubic();
-        let unbudgeted = run_heuristic(&c, &p, &base_config()).unwrap();
+        let unbudgeted =
+            run_heuristic(&IntervalOracle::new(&c, &p), &c, &p, &base_config()).unwrap();
         let full_energy =
             rpo_model::energy::energy_per_dataset(&c, &p, &unbudgeted.mapping, &model);
         let mut previous_reliability = 0.0;
         for fraction in [0.4, 0.6, 0.8, 1.0] {
-            let solution = run_energy_aware_heuristic(
+            let solution = energy_aware(
                 &c,
                 &p,
                 &EnergyAwareConfig {

@@ -80,25 +80,6 @@ fn partition_feasible(
 ///
 /// Panics if the chain exceeds [`MAX_EXHAUSTIVE_TASKS`] tasks.
 pub fn optimal_homogeneous(
-    chain: &TaskChain,
-    platform: &Platform,
-    period_bound: f64,
-    latency_bound: f64,
-) -> Result<OptimalMapping> {
-    let oracle = IntervalOracle::new(chain, platform);
-    optimal_homogeneous_with_oracle(&oracle, chain, platform, period_bound, latency_bound)
-}
-
-/// [`optimal_homogeneous`] against a prebuilt [`IntervalOracle`].
-///
-/// # Errors
-///
-/// Same as [`optimal_homogeneous`].
-///
-/// # Panics
-///
-/// Panics if the chain exceeds [`MAX_EXHAUSTIVE_TASKS`] tasks.
-pub fn optimal_homogeneous_with_oracle(
     oracle: &IntervalOracle,
     chain: &TaskChain,
     platform: &Platform,
@@ -221,6 +202,11 @@ mod tests {
     use super::*;
     use rpo_model::{MappingEvaluation, PlatformBuilder};
 
+    /// [`optimal_homogeneous`] on a fresh oracle.
+    fn optimal(c: &TaskChain, p: &Platform, period: f64, latency: f64) -> Result<OptimalMapping> {
+        optimal_homogeneous(&IntervalOracle::new(c, p), c, p, period, latency)
+    }
+
     fn chain() -> TaskChain {
         TaskChain::from_pairs(&[(30.0, 2.0), (10.0, 8.0), (25.0, 1.0), (40.0, 3.0)]).unwrap()
     }
@@ -245,7 +231,7 @@ mod tests {
             (f64::INFINITY, 115.0),
             (45.0, 120.0),
         ] {
-            let fast = optimal_homogeneous(&c, &p, period, latency).unwrap();
+            let fast = optimal(&c, &p, period, latency).unwrap();
             let slow = brute_force(&c, &p, period, latency).unwrap();
             assert!(
                 (fast.reliability - slow.reliability).abs() < 1e-13,
@@ -260,8 +246,8 @@ mod tests {
     fn unconstrained_matches_algorithm_1() {
         let c = chain();
         let p = platform(6, 3);
-        let exhaustive = optimal_homogeneous(&c, &p, f64::INFINITY, f64::INFINITY).unwrap();
-        let dp = crate::optimize_reliability_homogeneous(&c, &p).unwrap();
+        let exhaustive = optimal(&c, &p, f64::INFINITY, f64::INFINITY).unwrap();
+        let dp = crate::algo1::tests::solve(&c, &p, None).unwrap();
         assert!((exhaustive.reliability - dp.reliability).abs() < 1e-13);
     }
 
@@ -270,8 +256,8 @@ mod tests {
         let c = chain();
         let p = platform(6, 3);
         for period in [40.0, 50.0, 70.0, 110.0] {
-            let exhaustive = optimal_homogeneous(&c, &p, period, f64::INFINITY).unwrap();
-            let dp = crate::optimize_reliability_with_period_bound(&c, &p, period).unwrap();
+            let exhaustive = optimal(&c, &p, period, f64::INFINITY).unwrap();
+            let dp = crate::algo1::tests::solve(&c, &p, Some(period)).unwrap();
             assert!(
                 (exhaustive.reliability - dp.reliability).abs() < 1e-13,
                 "period {period}: {} vs {}",
@@ -285,7 +271,7 @@ mod tests {
     fn returned_mapping_respects_bounds() {
         let c = chain();
         let p = platform(6, 3);
-        let sol = optimal_homogeneous(&c, &p, 45.0, 120.0).unwrap();
+        let sol = optimal(&c, &p, 45.0, 120.0).unwrap();
         let eval = MappingEvaluation::evaluate(&c, &p, &sol.mapping);
         assert!(eval.worst_case_period <= 45.0 + 1e-12);
         assert!(eval.worst_case_latency <= 120.0 + 1e-12);
@@ -297,11 +283,11 @@ mod tests {
         let c = chain();
         let p = platform(6, 3);
         assert_eq!(
-            optimal_homogeneous(&c, &p, 39.0, f64::INFINITY).unwrap_err(),
+            optimal(&c, &p, 39.0, f64::INFINITY).unwrap_err(),
             AlgoError::NoFeasibleMapping
         );
         assert_eq!(
-            optimal_homogeneous(&c, &p, f64::INFINITY, 100.0).unwrap_err(),
+            optimal(&c, &p, f64::INFINITY, 100.0).unwrap_err(),
             AlgoError::NoFeasibleMapping
         );
     }
@@ -310,10 +296,10 @@ mod tests {
     fn latency_bound_trades_reliability() {
         let c = chain();
         let p = platform(8, 2);
-        let loose = optimal_homogeneous(&c, &p, f64::INFINITY, f64::INFINITY).unwrap();
+        let loose = optimal(&c, &p, f64::INFINITY, f64::INFINITY).unwrap();
         // Tight latency forbids splitting (every cut adds communication time),
         // so fewer intervals and fewer total replicas are available.
-        let tight = optimal_homogeneous(&c, &p, f64::INFINITY, 105.5).unwrap();
+        let tight = optimal(&c, &p, f64::INFINITY, 105.5).unwrap();
         assert!(tight.mapping.num_intervals() <= loose.mapping.num_intervals());
         assert!(tight.reliability <= loose.reliability + 1e-15);
     }
@@ -328,16 +314,16 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(
-            optimal_homogeneous(&c, &het, 10.0, 10.0).unwrap_err(),
+            optimal(&c, &het, 10.0, 10.0).unwrap_err(),
             AlgoError::HeterogeneousPlatform
         );
         let hom = platform(4, 2);
         assert_eq!(
-            optimal_homogeneous(&c, &hom, 0.0, 10.0).unwrap_err(),
+            optimal(&c, &hom, 0.0, 10.0).unwrap_err(),
             AlgoError::InvalidBound("period bound")
         );
         assert_eq!(
-            optimal_homogeneous(&c, &hom, 10.0, f64::NAN).unwrap_err(),
+            optimal(&c, &hom, 10.0, f64::NAN).unwrap_err(),
             AlgoError::InvalidBound("latency bound")
         );
     }

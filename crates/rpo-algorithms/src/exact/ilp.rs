@@ -45,6 +45,9 @@ pub struct MappingIlp {
 
 /// Builds the Section 5.4 ILP for a homogeneous platform and the given
 /// worst-case period and latency bounds (`f64::INFINITY` disables a bound).
+/// Period admissibility, per-column reliabilities and the latency
+/// coefficients are all O(1) reads of the [`IntervalOracle`] (one dense
+/// block table per instance instead of three `exp`s per column).
 ///
 /// Variables whose interval violates the period bound on its own are simply
 /// not generated (they could never be part of a feasible solution).
@@ -54,24 +57,6 @@ pub struct MappingIlp {
 /// Returns [`AlgoError::HeterogeneousPlatform`] or [`AlgoError::InvalidBound`]
 /// on invalid inputs.
 pub fn build_ilp(
-    chain: &TaskChain,
-    platform: &Platform,
-    period_bound: f64,
-    latency_bound: f64,
-) -> Result<MappingIlp> {
-    let oracle = IntervalOracle::new(chain, platform);
-    build_ilp_with_oracle(&oracle, platform, period_bound, latency_bound)
-}
-
-/// [`build_ilp`] against a prebuilt [`IntervalOracle`]: period admissibility,
-/// per-column reliabilities and the latency coefficients are all O(1) oracle
-/// reads (one dense block table per instance instead of three `exp`s per
-/// column).
-///
-/// # Errors
-///
-/// Same as [`build_ilp`].
-pub fn build_ilp_with_oracle(
     oracle: &IntervalOracle,
     platform: &Platform,
     period_bound: f64,
@@ -170,21 +155,6 @@ pub fn build_ilp_with_oracle(
 /// * [`AlgoError::NoFeasibleMapping`] if the program is infeasible (or the
 ///   branch-and-bound node limit is hit before finding any solution).
 pub fn optimal_by_ilp(
-    chain: &TaskChain,
-    platform: &Platform,
-    period_bound: f64,
-    latency_bound: f64,
-) -> Result<OptimalMapping> {
-    let oracle = IntervalOracle::new(chain, platform);
-    optimal_by_ilp_with_oracle(&oracle, chain, platform, period_bound, latency_bound)
-}
-
-/// [`optimal_by_ilp`] against a prebuilt [`IntervalOracle`].
-///
-/// # Errors
-///
-/// Same as [`optimal_by_ilp`].
-pub fn optimal_by_ilp_with_oracle(
     oracle: &IntervalOracle,
     chain: &TaskChain,
     platform: &Platform,
@@ -192,7 +162,7 @@ pub fn optimal_by_ilp_with_oracle(
     latency_bound: f64,
 ) -> Result<OptimalMapping> {
     crate::debug_assert_oracle_matches(oracle, chain, platform);
-    let ilp = build_ilp_with_oracle(oracle, platform, period_bound, latency_bound)?;
+    let ilp = build_ilp(oracle, platform, period_bound, latency_bound)?;
     let solution = rpo_lp::solve_ilp(&ilp.problem);
     match solution.status {
         IlpStatus::Optimal | IlpStatus::NodeLimit if !solution.x.is_empty() => {}
@@ -238,6 +208,16 @@ mod tests {
     use crate::exact::optimal_homogeneous;
     use rpo_model::{MappingEvaluation, PlatformBuilder};
 
+    /// [`optimal_by_ilp`] on a fresh oracle.
+    fn ilp(c: &TaskChain, p: &Platform, period: f64, latency: f64) -> Result<OptimalMapping> {
+        optimal_by_ilp(&IntervalOracle::new(c, p), c, p, period, latency)
+    }
+
+    /// [`build_ilp`] on a fresh oracle.
+    fn build(c: &TaskChain, p: &Platform, period: f64, latency: f64) -> Result<MappingIlp> {
+        build_ilp(&IntervalOracle::new(c, p), p, period, latency)
+    }
+
     fn chain() -> TaskChain {
         TaskChain::from_pairs(&[(30.0, 2.0), (10.0, 8.0), (25.0, 1.0), (40.0, 3.0)]).unwrap()
     }
@@ -262,8 +242,9 @@ mod tests {
             (f64::INFINITY, 115.0),
             (45.0, 120.0),
         ] {
-            let ilp = optimal_by_ilp(&c, &p, period, latency).unwrap();
-            let reference = optimal_homogeneous(&c, &p, period, latency).unwrap();
+            let ilp = ilp(&c, &p, period, latency).unwrap();
+            let reference =
+                optimal_homogeneous(&IntervalOracle::new(&c, &p), &c, &p, period, latency).unwrap();
             assert!(
                 (ilp.reliability - reference.reliability).abs() < 1e-10,
                 "bounds ({period}, {latency}): ilp {} vs exhaustive {}",
@@ -277,7 +258,7 @@ mod tests {
     fn ilp_mapping_respects_bounds() {
         let c = chain();
         let p = platform(6, 3);
-        let sol = optimal_by_ilp(&c, &p, 45.0, 120.0).unwrap();
+        let sol = ilp(&c, &p, 45.0, 120.0).unwrap();
         let eval = MappingEvaluation::evaluate(&c, &p, &sol.mapping);
         assert!(eval.worst_case_period <= 45.0 + 1e-9);
         assert!(eval.worst_case_latency <= 120.0 + 1e-9);
@@ -288,7 +269,7 @@ mod tests {
         let c = chain();
         let p = platform(6, 3);
         assert_eq!(
-            optimal_by_ilp(&c, &p, 39.0, f64::INFINITY).unwrap_err(),
+            ilp(&c, &p, 39.0, f64::INFINITY).unwrap_err(),
             AlgoError::NoFeasibleMapping
         );
     }
@@ -298,7 +279,7 @@ mod tests {
         let c = chain();
         let p = platform(6, 3);
         assert_eq!(
-            optimal_by_ilp(&c, &p, f64::INFINITY, 100.0).unwrap_err(),
+            ilp(&c, &p, f64::INFINITY, 100.0).unwrap_err(),
             AlgoError::NoFeasibleMapping
         );
     }
@@ -307,8 +288,8 @@ mod tests {
     fn variable_generation_prunes_period_violations() {
         let c = chain();
         let p = platform(6, 3);
-        let all = build_ilp(&c, &p, f64::INFINITY, f64::INFINITY).unwrap();
-        let pruned = build_ilp(&c, &p, 45.0, f64::INFINITY).unwrap();
+        let all = build(&c, &p, f64::INFINITY, f64::INFINITY).unwrap();
+        let pruned = build(&c, &p, 45.0, f64::INFINITY).unwrap();
         assert!(pruned.variables.len() < all.variables.len());
         assert!(pruned
             .variables
@@ -326,7 +307,7 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(
-            build_ilp(&c, &het, 100.0, 100.0).unwrap_err(),
+            build(&c, &het, 100.0, 100.0).unwrap_err(),
             AlgoError::HeterogeneousPlatform
         );
     }

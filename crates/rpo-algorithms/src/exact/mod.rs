@@ -18,6 +18,6 @@ pub mod exhaustive;
 pub mod ilp;
 pub mod profiles;
 
-pub use exhaustive::{brute_force, optimal_homogeneous, optimal_homogeneous_with_oracle};
-pub use ilp::{build_ilp, build_ilp_with_oracle, optimal_by_ilp, optimal_by_ilp_with_oracle};
+pub use exhaustive::{brute_force, optimal_homogeneous};
+pub use ilp::{build_ilp, optimal_by_ilp};
 pub use profiles::{PartitionProfile, ProfileSet};

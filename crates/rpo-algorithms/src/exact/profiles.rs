@@ -13,7 +13,7 @@ use rpo_model::{IntervalOracle, IntervalPartition, Platform, TaskChain};
 use serde::{Deserialize, Serialize};
 
 use crate::algo1::OptimalMapping;
-use crate::alloc::algo_alloc_plan_with_oracle;
+use crate::alloc::algo_alloc_plan;
 use crate::exact::exhaustive::MAX_EXHAUSTIVE_TASKS;
 use crate::{AlgoError, Result};
 
@@ -42,8 +42,8 @@ pub struct ProfileSet {
 }
 
 impl ProfileSet {
-    /// Builds the profiles of every interval partition of `chain` on the
-    /// homogeneous `platform`.
+    /// Builds the profiles of every interval partition of the oracle's chain
+    /// on the homogeneous `platform`.
     ///
     /// # Errors
     ///
@@ -53,21 +53,7 @@ impl ProfileSet {
     /// # Panics
     ///
     /// Panics if the chain exceeds [`MAX_EXHAUSTIVE_TASKS`] tasks.
-    pub fn build(chain: &TaskChain, platform: &Platform) -> Result<Self> {
-        let oracle = IntervalOracle::new(chain, platform);
-        Self::build_with_oracle(&oracle, platform)
-    }
-
-    /// [`ProfileSet::build`] against a prebuilt [`IntervalOracle`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ProfileSet::build`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the chain exceeds [`MAX_EXHAUSTIVE_TASKS`] tasks.
-    pub fn build_with_oracle(oracle: &IntervalOracle, platform: &Platform) -> Result<Self> {
+    pub fn build(oracle: &IntervalOracle, platform: &Platform) -> Result<Self> {
         debug_assert!(
             oracle.num_processors() == platform.num_processors(),
             "IntervalOracle was built for a different platform"
@@ -185,7 +171,7 @@ impl ProfileSet {
         let partition = IntervalPartition::from_cut_points(&cuts, self.chain_len)
             .expect("stored masks are valid");
         let oracle = IntervalOracle::new(chain, platform);
-        let plan = algo_alloc_plan_with_oracle(&oracle, &partition)?;
+        let plan = algo_alloc_plan(&oracle, &partition)?;
         let mapping = plan.into_mapping(&partition, chain, platform)?;
         Ok(OptimalMapping {
             mapping,
@@ -199,6 +185,11 @@ mod tests {
     use super::*;
     use crate::exact::optimal_homogeneous;
     use rpo_model::{MappingEvaluation, PlatformBuilder};
+
+    /// [`ProfileSet::build`] on a fresh oracle.
+    fn profiles(c: &TaskChain, p: &Platform) -> Result<ProfileSet> {
+        ProfileSet::build(&IntervalOracle::new(c, p), p)
+    }
 
     fn chain() -> TaskChain {
         TaskChain::from_pairs(&[
@@ -225,10 +216,10 @@ mod tests {
     fn profile_count_is_all_partitions_fitting_on_the_platform() {
         let c = chain();
         let p = platform(10, 3);
-        let set = ProfileSet::build(&c, &p).unwrap();
+        let set = profiles(&c, &p).unwrap();
         assert_eq!(set.len(), 16); // 2^(5-1), every partition fits on 10 processors
         assert!(!set.is_empty());
-        let small = ProfileSet::build(&c, &platform(2, 3)).unwrap();
+        let small = profiles(&c, &platform(2, 3)).unwrap();
         // Partitions with more than 2 intervals are dropped.
         assert_eq!(small.len(), 1 + 4); // single interval + the four 2-interval partitions
     }
@@ -237,13 +228,14 @@ mod tests {
     fn sweep_answers_match_the_exhaustive_solver() {
         let c = chain();
         let p = platform(6, 2);
-        let set = ProfileSet::build(&c, &p).unwrap();
+        let set = profiles(&c, &p).unwrap();
         for period in [35.0, 45.0, 70.0, 120.0, f64::INFINITY] {
             for latency in [120.0, 130.0, 150.0, f64::INFINITY] {
                 let fast = set.best_reliability_under(period, latency);
-                let slow = optimal_homogeneous(&c, &p, period, latency)
-                    .ok()
-                    .map(|s| s.reliability);
+                let slow =
+                    optimal_homogeneous(&IntervalOracle::new(&c, &p), &c, &p, period, latency)
+                        .ok()
+                        .map(|s| s.reliability);
                 match (fast, slow) {
                     (None, None) => {}
                     (Some(a), Some(b)) => assert!(
@@ -260,7 +252,7 @@ mod tests {
     fn reconstructed_mapping_matches_profile_and_bounds() {
         let c = chain();
         let p = platform(6, 2);
-        let set = ProfileSet::build(&c, &p).unwrap();
+        let set = profiles(&c, &p).unwrap();
         let sol = set.best_mapping_under(&c, &p, 70.0, 130.0).unwrap();
         let eval = MappingEvaluation::evaluate(&c, &p, &sol.mapping);
         assert!((eval.reliability - sol.reliability).abs() < 1e-13);
@@ -272,7 +264,7 @@ mod tests {
     fn infeasible_bounds_give_none() {
         let c = chain();
         let p = platform(6, 2);
-        let set = ProfileSet::build(&c, &p).unwrap();
+        let set = profiles(&c, &p).unwrap();
         assert_eq!(set.best_reliability_under(10.0, f64::INFINITY), None);
         assert_eq!(set.best_reliability_under(f64::INFINITY, 50.0), None);
         assert!(matches!(
@@ -291,7 +283,7 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(
-            ProfileSet::build(&c, &het).unwrap_err(),
+            profiles(&c, &het).unwrap_err(),
             AlgoError::HeterogeneousPlatform
         );
     }

@@ -58,7 +58,8 @@
 use rpo_model::{assignment_from_segments, IntervalOracle, Platform, TaskChain};
 
 use crate::algo1::{OptimalMapping, LANES};
-use crate::algo_het::{budget_states, class_strides, enumerate_patterns, validate_bound, Pattern};
+use crate::algo_het::{budget_states, class_strides, enumerate_patterns, Pattern};
+use crate::validate_bound;
 
 /// The chunked class-level DP: same contract as the scalar
 /// `algo_het::class_dp_scalar` (`None` = nothing feasible under the bound

@@ -4,15 +4,17 @@
 //! `m − 1` tasks with the smallest output-communication costs, so that the
 //! total communication added to the latency is as small as possible.
 
-use rpo_model::{IntervalOracle, IntervalPartition, TaskChain};
+use rpo_model::{IntervalOracle, IntervalPartition};
 
-/// The shared core: cuts after the `num_intervals − 1` boundaries with the
-/// smallest output sizes, read through `output_size`.
-fn partition_by_cheapest_cuts(
-    n: usize,
-    num_intervals: usize,
-    output_size: impl Fn(usize) -> f64,
-) -> IntervalPartition {
+/// Computes the Heur-L partition of the oracle's chain into exactly
+/// `num_intervals` intervals, reading the boundary communication costs from
+/// the [`IntervalOracle`].
+///
+/// # Panics
+///
+/// Panics if `num_intervals` is zero or exceeds the number of tasks.
+pub fn heur_l_partition(oracle: &IntervalOracle, num_intervals: usize) -> IntervalPartition {
+    let n = oracle.len();
     assert!(
         (1..=n).contains(&num_intervals),
         "number of intervals must be within 1..={n}, got {num_intervals}"
@@ -22,8 +24,9 @@ fn partition_by_cheapest_cuts(
     // "increasing order of placement in the chain").
     let mut candidates: Vec<usize> = (0..n.saturating_sub(1)).collect();
     candidates.sort_by(|&a, &b| {
-        output_size(a)
-            .partial_cmp(&output_size(b))
+        oracle
+            .output_size(a)
+            .partial_cmp(&oracle.output_size(b))
             .expect("finite communication costs")
             .then(a.cmp(&b))
     });
@@ -33,32 +36,16 @@ fn partition_by_cheapest_cuts(
         .expect("cut points taken from 0..n-1 always form a valid partition")
 }
 
-/// Computes the Heur-L partition of `chain` into exactly `num_intervals`
-/// intervals.
-///
-/// # Panics
-///
-/// Panics if `num_intervals` is zero or exceeds the number of tasks.
-pub fn heur_l_partition(chain: &TaskChain, num_intervals: usize) -> IntervalPartition {
-    partition_by_cheapest_cuts(chain.len(), num_intervals, |i| chain.output_size(i))
-}
-
-/// Heur-L reading the boundary communication costs from a prebuilt
-/// [`IntervalOracle`].
-///
-/// # Panics
-///
-/// Panics if `num_intervals` is zero or exceeds the number of tasks.
-pub fn heur_l_partition_with_oracle(
-    oracle: &IntervalOracle,
-    num_intervals: usize,
-) -> IntervalPartition {
-    partition_by_cheapest_cuts(oracle.len(), num_intervals, |i| oracle.output_size(i))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rpo_model::{Platform, TaskChain};
+
+    /// Heur-L on a fresh oracle (the platform does not affect the cuts).
+    fn heur_l(c: &TaskChain, num_intervals: usize) -> IntervalPartition {
+        let platform = Platform::homogeneous(1, 1.0, 1e-3, 1.0, 1e-4, 1).unwrap();
+        heur_l_partition(&IntervalOracle::new(c, &platform), num_intervals)
+    }
 
     fn chain() -> TaskChain {
         // Output costs: 5, 1, 4, 2, 3 (last one unused as a cut candidate).
@@ -74,7 +61,7 @@ mod tests {
 
     #[test]
     fn one_interval_is_the_whole_chain() {
-        let p = heur_l_partition(&chain(), 1);
+        let p = heur_l(&chain(), 1);
         assert_eq!(p.len(), 1);
         assert_eq!(p.cut_points(), Vec::<usize>::new());
     }
@@ -83,17 +70,17 @@ mod tests {
     fn cuts_are_placed_at_smallest_communications() {
         let c = chain();
         // 2 intervals: single cut after task 1 (cost 1).
-        assert_eq!(heur_l_partition(&c, 2).cut_points(), vec![1]);
+        assert_eq!(heur_l(&c, 2).cut_points(), vec![1]);
         // 3 intervals: cuts after tasks 1 and 3 (costs 1 and 2).
-        assert_eq!(heur_l_partition(&c, 3).cut_points(), vec![1, 3]);
+        assert_eq!(heur_l(&c, 3).cut_points(), vec![1, 3]);
         // 4 intervals: cuts after tasks 1, 3 and 2 (costs 1, 2, 4) in chain order.
-        assert_eq!(heur_l_partition(&c, 4).cut_points(), vec![1, 2, 3]);
+        assert_eq!(heur_l(&c, 4).cut_points(), vec![1, 2, 3]);
     }
 
     #[test]
     fn n_intervals_is_the_finest_partition() {
         let c = chain();
-        let p = heur_l_partition(&c, 5);
+        let p = heur_l(&c, 5);
         assert_eq!(p.len(), 5);
         assert_eq!(p.cut_points(), vec![0, 1, 2, 3]);
     }
@@ -105,7 +92,7 @@ mod tests {
         let c = chain();
         let n = c.len();
         for m in 1..=n {
-            let heur = heur_l_partition(&c, m);
+            let heur = heur_l(&c, m);
             let heur_comm = heur.total_boundary_output(&c);
             // Brute-force all partitions with m intervals.
             let mut best = f64::INFINITY;
@@ -124,19 +111,19 @@ mod tests {
     #[test]
     fn ties_are_broken_by_chain_position() {
         let c = TaskChain::from_pairs(&[(1.0, 2.0), (1.0, 2.0), (1.0, 2.0), (1.0, 2.0)]).unwrap();
-        assert_eq!(heur_l_partition(&c, 2).cut_points(), vec![0]);
-        assert_eq!(heur_l_partition(&c, 3).cut_points(), vec![0, 1]);
+        assert_eq!(heur_l(&c, 2).cut_points(), vec![0]);
+        assert_eq!(heur_l(&c, 3).cut_points(), vec![0, 1]);
     }
 
     #[test]
     #[should_panic(expected = "number of intervals must be within")]
     fn zero_intervals_panics() {
-        heur_l_partition(&chain(), 0);
+        heur_l(&chain(), 0);
     }
 
     #[test]
     #[should_panic(expected = "number of intervals must be within")]
     fn too_many_intervals_panics() {
-        heur_l_partition(&chain(), 6);
+        heur_l(&chain(), 6);
     }
 }

@@ -7,54 +7,25 @@
 //! `j` is `max(Σ w, o_j)` (its computation time at unit speed and its
 //! outgoing communication).
 
-use rpo_model::{IntervalOracle, IntervalPartition, TaskChain};
+use rpo_model::{IntervalOracle, IntervalPartition};
 
-/// Computes the Heur-P partition of `chain` into exactly `num_intervals`
-/// intervals, together with the period value the dynamic program optimized.
+/// Computes the Heur-P partition of the oracle's chain into exactly
+/// `num_intervals` intervals, reading the interval works and boundary costs
+/// from the [`IntervalOracle`].
 ///
 /// # Panics
 ///
 /// Panics if `num_intervals` is zero or exceeds the number of tasks.
-pub fn heur_p_partition(chain: &TaskChain, num_intervals: usize) -> IntervalPartition {
-    heur_p_partition_with_period(chain, num_intervals).0
+pub fn heur_p_partition(oracle: &IntervalOracle, num_intervals: usize) -> IntervalPartition {
+    balanced_partition(oracle, num_intervals).0
 }
 
-/// Heur-P reading the interval works and boundary costs from a prebuilt
-/// [`IntervalOracle`].
-///
-/// # Panics
-///
-/// Panics if `num_intervals` is zero or exceeds the number of tasks.
-pub fn heur_p_partition_with_oracle(
-    oracle: &IntervalOracle,
-    num_intervals: usize,
-) -> IntervalPartition {
-    balanced_partition(oracle.len(), num_intervals, |first, last| {
-        oracle.work(first, last).max(oracle.output_size(last))
-    })
-    .0
-}
-
-/// Same as [`heur_p_partition`], also returning the optimal period metric
-/// (`max` over intervals of `max(Σ w, o_last)`) found by the dynamic program.
-pub fn heur_p_partition_with_period(
-    chain: &TaskChain,
-    num_intervals: usize,
-) -> (IntervalPartition, f64) {
-    balanced_partition(chain.len(), num_intervals, |first, last| {
-        chain
-            .interval_work(first, last)
-            .max(chain.output_size(last))
-    })
-}
-
-/// The shared dynamic program, parameterized over the per-interval cost
-/// `max(Σ w, o_last)`.
-fn balanced_partition(
-    n: usize,
-    num_intervals: usize,
-    interval_cost: impl Fn(usize, usize) -> f64,
-) -> (IntervalPartition, f64) {
+/// The dynamic program behind [`heur_p_partition`], also returning the
+/// optimal period metric (`max` over intervals of `max(Σ w, o_last)`).
+fn balanced_partition(oracle: &IntervalOracle, num_intervals: usize) -> (IntervalPartition, f64) {
+    let n = oracle.len();
+    let interval_cost =
+        |first: usize, last: usize| oracle.work(first, last).max(oracle.output_size(last));
     assert!(
         (1..=n).contains(&num_intervals),
         "number of intervals must be within 1..={n}, got {num_intervals}"
@@ -98,6 +69,13 @@ fn balanced_partition(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rpo_model::{Platform, TaskChain};
+
+    /// A fresh oracle (the platform does not affect the partitions).
+    fn oracle(c: &TaskChain) -> IntervalOracle {
+        let platform = Platform::homogeneous(1, 1.0, 1e-3, 1.0, 1e-4, 1).unwrap();
+        IntervalOracle::new(c, &platform)
+    }
 
     fn chain() -> TaskChain {
         TaskChain::from_pairs(&[
@@ -133,7 +111,7 @@ mod tests {
     #[test]
     fn one_interval_is_the_whole_chain() {
         let c = chain();
-        let (p, period) = heur_p_partition_with_period(&c, 1);
+        let (p, period) = balanced_partition(&oracle(&c), 1);
         assert_eq!(p.len(), 1);
         assert_eq!(period, 150.0);
     }
@@ -142,7 +120,7 @@ mod tests {
     fn dp_matches_brute_force_for_every_interval_count() {
         let c = chain();
         for m in 1..=c.len() {
-            let (partition, period) = heur_p_partition_with_period(&c, m);
+            let (partition, period) = balanced_partition(&oracle(&c), m);
             assert_eq!(partition.len(), m);
             let brute = brute_force_period(&c, m);
             assert!(
@@ -162,7 +140,7 @@ mod tests {
     #[test]
     fn balanced_split_of_uniform_chain() {
         let c = TaskChain::from_pairs(&[(10.0, 1.0); 6]).unwrap();
-        let (p, period) = heur_p_partition_with_period(&c, 3);
+        let (p, period) = balanced_partition(&oracle(&c), 3);
         assert_eq!(p.len(), 3);
         assert_eq!(period, 20.0);
         for itv in p.intervals() {
@@ -175,7 +153,7 @@ mod tests {
         let c = chain();
         let mut previous = f64::INFINITY;
         for m in 1..=c.len() {
-            let (_, period) = heur_p_partition_with_period(&c, m);
+            let (_, period) = balanced_partition(&oracle(&c), m);
             assert!(period <= previous + 1e-12);
             previous = period;
         }
@@ -185,7 +163,7 @@ mod tests {
     fn communication_can_dominate_the_period() {
         // A huge output communication on task 0 dominates any split that cuts there.
         let c = TaskChain::from_pairs(&[(1.0, 100.0), (1.0, 1.0), (1.0, 1.0)]).unwrap();
-        let (p, period) = heur_p_partition_with_period(&c, 2);
+        let (p, period) = balanced_partition(&oracle(&c), 2);
         // Best: avoid cutting after task 0; cut after task 1 instead.
         assert_eq!(p.cut_points(), vec![1]);
         assert!((period - 2.0).abs() < 1e-12);
@@ -194,6 +172,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "number of intervals must be within")]
     fn too_many_intervals_panics() {
-        heur_p_partition(&chain(), 6);
+        heur_p_partition(&oracle(&chain()), 6);
     }
 }

@@ -17,10 +17,10 @@
 use rpo_model::{IntervalOracle, Mapping, MappingEvaluation, Platform, TaskChain};
 use serde::{Deserialize, Serialize};
 
-use crate::alloc::algo_alloc_with_oracle;
-use crate::alloc_het::{algo_alloc_heterogeneous_with_oracle, AllocationConstraints};
-use crate::heur_l::heur_l_partition_with_oracle;
-use crate::heur_p::heur_p_partition_with_oracle;
+use crate::alloc::algo_alloc;
+use crate::alloc_het::{algo_alloc_heterogeneous, AllocationConstraints};
+use crate::heur_l::heur_l_partition;
+use crate::heur_p::heur_p_partition;
 use crate::{AlgoError, Result};
 
 /// Which interval-computation heuristic to use.
@@ -67,30 +67,17 @@ pub struct HeuristicSolution {
 
 /// Runs one of the Section 7 heuristics and returns the most reliable mapping
 /// that satisfies both bounds, or [`AlgoError::NoFeasibleMapping`] if no
-/// candidate does.
+/// candidate does. Partitions, allocations and the candidate evaluations all
+/// read their interval metrics from the shared [`IntervalOracle`]. A bound of
+/// `f64::INFINITY` means "no bound", on homogeneous and heterogeneous
+/// platforms alike.
 ///
 /// # Errors
 ///
-/// * [`AlgoError::InvalidBound`] if a bound is not positive;
+/// * [`AlgoError::InvalidBound`] if a bound is NaN or not positive;
 /// * [`AlgoError::NoFeasibleMapping`] if no candidate mapping meets the
 ///   bounds.
 pub fn run_heuristic(
-    chain: &TaskChain,
-    platform: &Platform,
-    config: &HeuristicConfig,
-) -> Result<HeuristicSolution> {
-    let oracle = IntervalOracle::new(chain, platform);
-    run_heuristic_with_oracle(&oracle, chain, platform, config)
-}
-
-/// [`run_heuristic`] against a prebuilt [`IntervalOracle`]: partitions,
-/// allocations and the candidate evaluations all read their interval metrics
-/// from the shared kernel.
-///
-/// # Errors
-///
-/// Same as [`run_heuristic`].
-pub fn run_heuristic_with_oracle(
     oracle: &IntervalOracle,
     chain: &TaskChain,
     platform: &Platform,
@@ -112,14 +99,14 @@ pub fn run_heuristic_with_oracle(
     let mut best: Option<HeuristicSolution> = None;
     for num_intervals in 1..=n.min(p) {
         let partition = match config.interval_heuristic {
-            IntervalHeuristic::MinLatency => heur_l_partition_with_oracle(oracle, num_intervals),
-            IntervalHeuristic::MinPeriod => heur_p_partition_with_oracle(oracle, num_intervals),
+            IntervalHeuristic::MinLatency => heur_l_partition(oracle, num_intervals),
+            IntervalHeuristic::MinPeriod => heur_p_partition(oracle, num_intervals),
         };
 
         let mapping = if homogeneous {
-            algo_alloc_with_oracle(oracle, chain, platform, &partition)
+            algo_alloc(oracle, chain, platform, &partition)
         } else {
-            algo_alloc_heterogeneous_with_oracle(
+            algo_alloc_heterogeneous(
                 oracle,
                 chain,
                 platform,
@@ -146,40 +133,6 @@ pub fn run_heuristic_with_oracle(
         }
     }
     best.ok_or(AlgoError::NoFeasibleMapping)
-}
-
-/// Convenience wrapper running both heuristics and returning the best feasible
-/// solution of each (`None` where a heuristic finds nothing).
-pub fn run_both_heuristics(
-    chain: &TaskChain,
-    platform: &Platform,
-    period_bound: f64,
-    latency_bound: f64,
-) -> (Option<HeuristicSolution>, Option<HeuristicSolution>) {
-    let oracle = IntervalOracle::new(chain, platform);
-    let heur_l = run_heuristic_with_oracle(
-        &oracle,
-        chain,
-        platform,
-        &HeuristicConfig {
-            interval_heuristic: IntervalHeuristic::MinLatency,
-            period_bound,
-            latency_bound,
-        },
-    )
-    .ok();
-    let heur_p = run_heuristic_with_oracle(
-        &oracle,
-        chain,
-        platform,
-        &HeuristicConfig {
-            interval_heuristic: IntervalHeuristic::MinPeriod,
-            period_bound,
-            latency_bound,
-        },
-    )
-    .ok();
-    (heur_l, heur_p)
 }
 
 #[cfg(test)]
@@ -225,6 +178,33 @@ mod tests {
             .unwrap()
     }
 
+    /// [`run_heuristic`] on a fresh oracle.
+    fn solve(c: &TaskChain, p: &Platform, config: &HeuristicConfig) -> Result<HeuristicSolution> {
+        run_heuristic(&IntervalOracle::new(c, p), c, p, config)
+    }
+
+    /// The best feasible solution of Heur-L and of Heur-P (`None` where a
+    /// heuristic finds nothing).
+    fn both(
+        c: &TaskChain,
+        p: &Platform,
+        period_bound: f64,
+        latency_bound: f64,
+    ) -> (Option<HeuristicSolution>, Option<HeuristicSolution>) {
+        let run = |interval_heuristic| {
+            let config = HeuristicConfig {
+                interval_heuristic,
+                period_bound,
+                latency_bound,
+            };
+            solve(c, p, &config).ok()
+        };
+        (
+            run(IntervalHeuristic::MinLatency),
+            run(IntervalHeuristic::MinPeriod),
+        )
+    }
+
     #[test]
     fn solutions_respect_bounds_on_homogeneous_platform() {
         let c = chain();
@@ -235,7 +215,7 @@ mod tests {
                 period_bound: 80.0,
                 latency_bound: 170.0,
             };
-            let sol = run_heuristic(&c, &p, &config).unwrap();
+            let sol = solve(&c, &p, &config).unwrap();
             assert!(sol.evaluation.worst_case_period <= 80.0 + 1e-12);
             assert!(sol.evaluation.worst_case_latency <= 170.0 + 1e-12);
             assert!(sol.num_intervals >= 1 && sol.num_intervals <= 5);
@@ -252,10 +232,28 @@ mod tests {
                 period_bound: 40.0,
                 latency_bound: 150.0,
             };
-            if let Ok(sol) = run_heuristic(&c, &p, &config) {
+            if let Ok(sol) = solve(&c, &p, &config) {
                 assert!(sol.evaluation.worst_case_period <= 40.0 + 1e-12);
                 assert!(sol.evaluation.worst_case_latency <= 150.0 + 1e-12);
             }
+        }
+    }
+
+    #[test]
+    fn an_infinite_period_bound_means_no_bound_on_a_heterogeneous_platform() {
+        let c = chain();
+        let p = het_platform();
+        for interval_heuristic in [IntervalHeuristic::MinLatency, IntervalHeuristic::MinPeriod] {
+            let solve = |period_bound| {
+                let config = HeuristicConfig {
+                    interval_heuristic,
+                    period_bound,
+                    latency_bound: f64::INFINITY,
+                };
+                solve(&c, &p, &config)
+            };
+            let unbounded = solve(f64::INFINITY).expect("an unbounded instance is feasible");
+            assert_eq!(unbounded, solve(1e9).unwrap());
         }
     }
 
@@ -264,14 +262,15 @@ mod tests {
         let c = chain();
         let p = hom_platform(5, 2);
         for (period, latency) in [(80.0, 170.0), (60.0, 200.0), (150.0, 160.0)] {
-            let optimum = optimal_homogeneous(&c, &p, period, latency);
+            let optimum =
+                optimal_homogeneous(&IntervalOracle::new(&c, &p), &c, &p, period, latency);
             for heuristic in [IntervalHeuristic::MinLatency, IntervalHeuristic::MinPeriod] {
                 let config = HeuristicConfig {
                     interval_heuristic: heuristic,
                     period_bound: period,
                     latency_bound: latency,
                 };
-                if let Ok(sol) = run_heuristic(&c, &p, &config) {
+                if let Ok(sol) = solve(&c, &p, &config) {
                     let opt = optimum
                         .as_ref()
                         .expect("a feasible heuristic solution implies a feasible optimum");
@@ -295,7 +294,7 @@ mod tests {
             latency_bound: 1e6,
         };
         assert_eq!(
-            run_heuristic(&c, &p, &config).unwrap_err(),
+            solve(&c, &p, &config).unwrap_err(),
             AlgoError::NoFeasibleMapping
         );
     }
@@ -307,7 +306,7 @@ mod tests {
         let c = chain();
         let p = hom_platform(6, 3);
         // Tight period, loose latency.
-        let (l_sol, p_sol) = run_both_heuristics(&c, &p, 41.0, 1e6);
+        let (l_sol, p_sol) = both(&c, &p, 41.0, 1e6);
         assert!(p_sol.is_some(), "Heur-P should handle a tight period bound");
         // Whenever both succeed the Heur-P period is no worse.
         if let (Some(l), Some(p_)) = (&l_sol, &p_sol) {
@@ -315,7 +314,7 @@ mod tests {
         }
         // Loose period, tight latency (just above the no-cut latency).
         let total_work: f64 = (0..c.len()).map(|i| c.work(i)).sum();
-        let (l_sol, _) = run_both_heuristics(&c, &p, 1e6, total_work + 1.5);
+        let (l_sol, _) = both(&c, &p, 1e6, total_work + 1.5);
         assert!(
             l_sol.is_some(),
             "Heur-L should handle a tight latency bound"
@@ -332,7 +331,7 @@ mod tests {
             latency_bound: 100.0,
         };
         assert_eq!(
-            run_heuristic(&c, &p, &config).unwrap_err(),
+            solve(&c, &p, &config).unwrap_err(),
             AlgoError::InvalidBound("period bound")
         );
     }

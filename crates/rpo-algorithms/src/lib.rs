@@ -4,9 +4,8 @@
 //! This crate is the paper's primary contribution:
 //!
 //! * **Polynomial optimal algorithms on homogeneous platforms**
-//!   * [`algo1`] — Algorithm 1: mono-criterion reliability optimization
-//!     (dynamic programming, `O(n² p K)`);
-//!   * [`algo2`] — Algorithm 2: reliability optimization under a period bound;
+//!   * [`algo1`] — Algorithms 1 and 2: reliability optimization by dynamic
+//!     programming (`O(n² p K)`), without or under a period bound;
 //!   * [`period_opt`] — the converse problem (minimal period under a
 //!     reliability bound) by binary search over candidate periods;
 //!   * [`alloc`] — Algo-Alloc (Theorem 4): optimal greedy allocation of
@@ -43,12 +42,21 @@
 //!     the `rpo-lp` branch-and-bound (the CPLEX substitute);
 //!   * [`exact::brute_force`] — reference brute-force over partitions *and*
 //!     allocations for tiny instances (used to validate everything else).
+//!
+//! Every algorithm has exactly one public function. It takes the shared
+//! [`rpo_model::IntervalOracle`] first, then the chain, the platform and
+//! its own parameters, and a [`DpScratch`] last when it runs a dynamic
+//! program over reusable arenas. A caller solving one instance builds the
+//! oracle with `IntervalOracle::new(&chain, &platform)`. Only the
+//! independent references the tests compare against (`brute_force`,
+//! `exhaustive_het`, `exhaustive_het_lat`, `exhaustive_alloc`) build their
+//! own oracle, and the `*_with_kernel` functions select a kernel for
+//! equivalence tests and measurements.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod algo1;
-pub mod algo2;
 pub mod algo_het;
 pub mod algo_het_lat;
 pub mod alloc;
@@ -63,36 +71,25 @@ pub mod heuristic;
 pub mod period_opt;
 
 pub use algo1::{
-    optimize_reliability_homogeneous, optimize_reliability_homogeneous_with_oracle,
-    optimize_reliability_homogeneous_with_scratch, reliability_dp_with_kernel,
-    reliability_dp_with_scratch, repair_reliability_dp_with_scratch, DpKernel, DpScratch,
+    optimize_reliability, reliability_dp_with_kernel, repair_reliability_dp, DpKernel, DpScratch,
     OptimalMapping, WarmPath, LANES,
 };
-pub use algo2::{
-    optimize_reliability_with_period_bound, optimize_reliability_with_period_bound_with_oracle,
-    optimize_with_period_bound_scratch,
-};
 pub use algo_het::{
-    algo_het, algo_het_with_oracle, class_dp_with_kernel, exhaustive_het, greedy_het_with_oracle,
-    het_dp_applicable, het_dp_applicable_platform, HetMethod, HetSolution,
+    algo_het, class_dp_with_kernel, exhaustive_het, greedy_het, het_dp_applicable,
+    het_dp_applicable_platform, HetMethod, HetSolution,
 };
 pub use algo_het_lat::{
-    algo_het_lat, algo_het_lat_with_oracle, algo_het_lat_with_scratch, exhaustive_het_lat,
-    greedy_het_lat_with_oracle, HetLatFrontPoint, HetLatMethod, HetLatSolution, MAX_LAT_LABELS,
+    algo_het_lat, exhaustive_het_lat, greedy_het_lat, HetLatFrontPoint, HetLatMethod,
+    HetLatSolution, MAX_LAT_LABELS,
 };
-pub use alloc::{algo_alloc, algo_alloc_with_oracle, exhaustive_alloc};
-pub use alloc_het::{algo_alloc_heterogeneous, algo_alloc_heterogeneous_with_oracle};
+pub use alloc::{algo_alloc, exhaustive_alloc};
+pub use alloc_het::algo_alloc_heterogeneous;
 pub use batch_kernel::{solve_batch, BatchLane, BatchScratch};
 pub use energy_aware::{run_energy_aware_heuristic, EnergyAwareConfig, EnergyAwareSolution};
-pub use heur_l::{heur_l_partition, heur_l_partition_with_oracle};
-pub use heur_p::{heur_p_partition, heur_p_partition_with_oracle};
-pub use heuristic::{
-    run_heuristic, run_heuristic_with_oracle, HeuristicConfig, HeuristicSolution, IntervalHeuristic,
-};
-pub use period_opt::{
-    minimize_period_with_reliability_bound, minimize_period_with_reliability_bound_with_oracle,
-    minimize_period_with_reliability_bound_with_scratch, repair_minimize_period_with_scratch,
-};
+pub use heur_l::heur_l_partition;
+pub use heur_p::heur_p_partition;
+pub use heuristic::{run_heuristic, HeuristicConfig, HeuristicSolution, IntervalHeuristic};
+pub use period_opt::{minimize_period, repair_minimize_period};
 
 /// Errors reported by the algorithms of this crate.
 #[derive(Debug, Clone, PartialEq)]
@@ -158,4 +155,14 @@ pub(crate) fn debug_assert_oracle_matches(
         "IntervalOracle was built for a different (chain, platform) instance"
     );
     let _ = (oracle, chain, platform);
+}
+
+/// Checks an optional worst-case period bound: `None` means unbounded
+/// (`+∞`), `Some` must be a positive finite number.
+pub(crate) fn validate_bound(period_bound: Option<f64>) -> Result<f64> {
+    match period_bound {
+        None => Ok(f64::INFINITY),
+        Some(bound) if bound.is_finite() && bound > 0.0 => Ok(bound),
+        Some(_) => Err(AlgoError::InvalidBound("period bound")),
+    }
 }

@@ -11,8 +11,7 @@
 use rpo_model::{IntervalOracle, Mapping, Platform, TaskChain};
 use serde::{Deserialize, Serialize};
 
-use crate::algo1::DpScratch;
-use crate::algo2::optimize_with_period_bound_scratch;
+use crate::algo1::{optimize_reliability, DpScratch, OptimalMapping};
 use crate::{AlgoError, Result};
 
 /// Result of the period minimization.
@@ -70,66 +69,14 @@ fn candidate_periods(oracle: &IntervalOracle, speed: f64) -> Vec<f64> {
     candidates
 }
 
-/// Minimizes the worst-case period of a mapping whose reliability is at least
-/// `reliability_bound`, on a fully homogeneous platform.
-///
-/// # Errors
-///
-/// * [`AlgoError::HeterogeneousPlatform`] if the platform is not homogeneous;
-/// * [`AlgoError::InvalidBound`] if the reliability bound is not in `(0, 1]`;
-/// * [`AlgoError::NoFeasibleMapping`] if even the unconstrained optimum of
-///   Algorithm 1 does not reach the reliability bound.
-pub fn minimize_period_with_reliability_bound(
-    chain: &TaskChain,
-    platform: &Platform,
-    reliability_bound: f64,
-) -> Result<PeriodOptimal> {
-    let oracle = IntervalOracle::new(chain, platform);
-    minimize_period_with_reliability_bound_with_oracle(&oracle, chain, platform, reliability_bound)
-}
-
-/// Period minimization against a prebuilt [`IntervalOracle`]: the whole
-/// binary search (one Algorithm 2 run per probe) shares a single oracle
-/// instead of rebuilding the interval metrics at every probe, and every
-/// probe runs against one warm [`DpScratch`] — the DP arenas are allocated
-/// once and the previous probe's admissible-interval set (`in_ok` boundary
-/// flags and per-row work-prefix cuts) seeds the next probe's admissibility
-/// derivation instead of starting from scratch.
-///
-/// # Errors
-///
-/// Same as [`minimize_period_with_reliability_bound`].
-pub fn minimize_period_with_reliability_bound_with_oracle(
+/// The checks shared by the cold and the repair search, then the sorted
+/// candidate ladder both of them search.
+fn checked_candidates(
     oracle: &IntervalOracle,
     chain: &TaskChain,
     platform: &Platform,
     reliability_bound: f64,
-) -> Result<PeriodOptimal> {
-    let mut scratch = DpScratch::new();
-    minimize_period_with_reliability_bound_with_scratch(
-        oracle,
-        chain,
-        platform,
-        reliability_bound,
-        &mut scratch,
-    )
-}
-
-/// Period minimization against caller-owned [`DpScratch`]: batch callers
-/// (the portfolio engine's scratch pool) reuse the DP arenas across
-/// instances — allocation reuse only, the admissibility data is rebuilt per
-/// probe.
-///
-/// # Errors
-///
-/// Same as [`minimize_period_with_reliability_bound`].
-pub fn minimize_period_with_reliability_bound_with_scratch(
-    oracle: &IntervalOracle,
-    chain: &TaskChain,
-    platform: &Platform,
-    reliability_bound: f64,
-    scratch: &mut DpScratch,
-) -> Result<PeriodOptimal> {
+) -> Result<Vec<f64>> {
     crate::debug_assert_oracle_matches(oracle, chain, platform);
     if !oracle.is_homogeneous() {
         return Err(AlgoError::HeterogeneousPlatform);
@@ -137,26 +84,61 @@ pub fn minimize_period_with_reliability_bound_with_scratch(
     if !(reliability_bound.is_finite() && reliability_bound > 0.0 && reliability_bound <= 1.0) {
         return Err(AlgoError::InvalidBound("reliability bound"));
     }
+    Ok(candidate_periods(oracle, platform.speed(0)))
+}
 
-    let candidates = candidate_periods(oracle, platform.speed(0));
+/// One counted search probe: the Algorithm 2 mapping at `period`, if it
+/// reaches the reliability bound.
+fn probe(
+    oracle: &IntervalOracle,
+    chain: &TaskChain,
+    platform: &Platform,
+    reliability_bound: f64,
+    period: f64,
+    scratch: &mut DpScratch,
+) -> Option<OptimalMapping> {
+    rpo_obs::counter!("period_opt.probes").inc();
+    optimize_reliability(oracle, chain, platform, Some(period), scratch)
+        .ok()
+        .filter(|solution| solution.reliability >= reliability_bound)
+}
+
+/// Minimizes the worst-case period of a mapping whose reliability is at least
+/// `reliability_bound`, on a fully homogeneous platform.
+///
+/// The whole binary search (one Algorithm 2 run per probe) shares the
+/// oracle and runs against `scratch`: the DP arenas are allocated once and
+/// the previous probe's admissible-interval set (`in_ok` boundary flags and
+/// per-row work-prefix cuts) seeds the next probe's admissibility
+/// derivation. Batch callers (the portfolio engine's scratch pool) reuse
+/// the arenas across instances as well.
+///
+/// # Errors
+///
+/// * [`AlgoError::HeterogeneousPlatform`] if the platform is not homogeneous;
+/// * [`AlgoError::InvalidBound`] if the reliability bound is not in `(0, 1]`;
+/// * [`AlgoError::NoFeasibleMapping`] if even the unconstrained optimum of
+///   Algorithm 1 does not reach the reliability bound.
+pub fn minimize_period(
+    oracle: &IntervalOracle,
+    chain: &TaskChain,
+    platform: &Platform,
+    reliability_bound: f64,
+    scratch: &mut DpScratch,
+) -> Result<PeriodOptimal> {
+    let candidates = checked_candidates(oracle, chain, platform, reliability_bound)?;
     // Check feasibility at the largest candidate (equivalent to no bound).
     let largest = *candidates
         .last()
         .expect("a non-empty chain has candidate periods");
-    let unconstrained =
-        optimize_with_period_bound_scratch(oracle, chain, platform, largest, &mut *scratch)?;
+    let unconstrained = optimize_reliability(oracle, chain, platform, Some(largest), scratch)?;
     if unconstrained.reliability < reliability_bound {
         return Err(AlgoError::NoFeasibleMapping);
     }
 
     // Binary search the smallest candidate period meeting the bound.
-    let mut feasible = |period: f64| -> Option<crate::algo1::OptimalMapping> {
-        rpo_obs::counter!("period_opt.probes").inc();
-        match optimize_with_period_bound_scratch(oracle, chain, platform, period, &mut *scratch) {
-            Ok(solution) if solution.reliability >= reliability_bound => Some(solution),
-            _ => None,
-        }
-    };
+    let mut feasible =
+        |period: f64| probe(oracle, chain, platform, reliability_bound, period, scratch);
     let (mut lo, mut hi) = (0usize, candidates.len() - 1);
     let mut best = unconstrained;
     while lo < hi {
@@ -185,15 +167,15 @@ pub fn minimize_period_with_reliability_bound_with_scratch(
 /// probe additionally reuses `scratch`'s warm admissibility cuts, exactly
 /// like the cold search.
 ///
-/// Returns the **same certified optimum** as
-/// [`minimize_period_with_reliability_bound_with_scratch`]: feasibility is
+/// Returns the **same certified optimum** as [`minimize_period`]:
+/// feasibility is
 /// monotone in the period, both searches select the smallest feasible
 /// candidate, they differ only in which probes are evaluated along the way.
 ///
 /// # Errors
 ///
-/// Same as [`minimize_period_with_reliability_bound`].
-pub fn repair_minimize_period_with_scratch(
+/// Same as [`minimize_period`].
+pub fn repair_minimize_period(
     oracle: &IntervalOracle,
     chain: &TaskChain,
     platform: &Platform,
@@ -201,23 +183,10 @@ pub fn repair_minimize_period_with_scratch(
     prev_period: f64,
     scratch: &mut DpScratch,
 ) -> Result<PeriodOptimal> {
-    crate::debug_assert_oracle_matches(oracle, chain, platform);
-    if !oracle.is_homogeneous() {
-        return Err(AlgoError::HeterogeneousPlatform);
-    }
-    if !(reliability_bound.is_finite() && reliability_bound > 0.0 && reliability_bound <= 1.0) {
-        return Err(AlgoError::InvalidBound("reliability bound"));
-    }
-
-    let candidates = candidate_periods(oracle, platform.speed(0));
+    let candidates = checked_candidates(oracle, chain, platform, reliability_bound)?;
     let len = candidates.len();
-    let mut feasible = |period: f64| -> Option<crate::algo1::OptimalMapping> {
-        rpo_obs::counter!("period_opt.probes").inc();
-        match optimize_with_period_bound_scratch(oracle, chain, platform, period, &mut *scratch) {
-            Ok(solution) if solution.reliability >= reliability_bound => Some(solution),
-            _ => None,
-        }
-    };
+    let mut feasible =
+        |period: f64| probe(oracle, chain, platform, reliability_bound, period, scratch);
 
     // Start at the candidate nearest the previous optimum (degenerate
     // `prev_period` just means a worse start, never a wrong answer).
@@ -285,7 +254,7 @@ pub fn repair_minimize_period_with_scratch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optimize_reliability_with_period_bound;
+    use crate::algo1::tests::solve as optimize;
     use rpo_model::{MappingEvaluation, PlatformBuilder};
 
     fn chain() -> TaskChain {
@@ -302,12 +271,18 @@ mod tests {
             .unwrap()
     }
 
+    /// [`minimize_period`] on a fresh oracle and scratch.
+    fn minimize(c: &TaskChain, p: &Platform, reliability_bound: f64) -> Result<PeriodOptimal> {
+        let oracle = IntervalOracle::new(c, p);
+        minimize_period(&oracle, c, p, reliability_bound, &mut DpScratch::new())
+    }
+
     #[test]
     fn returned_mapping_respects_both_period_and_reliability() {
         let c = chain();
         let p = platform(6, 3);
         let bound = 0.9;
-        let sol = minimize_period_with_reliability_bound(&c, &p, bound).unwrap();
+        let sol = minimize(&c, &p, bound).unwrap();
         let eval = MappingEvaluation::evaluate(&c, &p, &sol.mapping);
         assert!(eval.reliability >= bound);
         assert!(eval.worst_case_period <= sol.period + 1e-12);
@@ -320,7 +295,7 @@ mod tests {
         // Any mapping is acceptable reliability-wise: the optimum is the best
         // achievable period, which (with 6 processors and 4 tasks) is the
         // largest single task work = 40.
-        let sol = minimize_period_with_reliability_bound(&c, &p, 1e-12).unwrap();
+        let sol = minimize(&c, &p, 1e-12).unwrap();
         assert!((sol.period - 40.0).abs() < 1e-12);
     }
 
@@ -329,11 +304,11 @@ mod tests {
         let c = chain();
         let p = platform(6, 3);
         let bound = 0.95;
-        let sol = minimize_period_with_reliability_bound(&c, &p, bound).unwrap();
+        let sol = minimize(&c, &p, bound).unwrap();
         // Exhaustive check over a fine grid slightly below the optimum: no
         // strictly smaller period may reach the reliability bound.
         let probe = sol.period - 1e-6;
-        let below = optimize_reliability_with_period_bound(&c, &p, probe);
+        let below = optimize(&c, &p, Some(probe));
         match below {
             Err(AlgoError::NoFeasibleMapping) => {}
             Ok(solution) => assert!(solution.reliability < bound),
@@ -347,10 +322,10 @@ mod tests {
         // Single processor, no replication possible: reliability is bounded
         // away from 1, so a bound of 0.999999999 is unreachable.
         let p = platform(1, 1);
-        let unconstrained = crate::optimize_reliability_homogeneous(&c, &p).unwrap();
+        let unconstrained = optimize(&c, &p, None).unwrap();
         let impossible = (unconstrained.reliability + 1.0) / 2.0;
         assert_eq!(
-            minimize_period_with_reliability_bound(&c, &p, impossible).unwrap_err(),
+            minimize(&c, &p, impossible).unwrap_err(),
             AlgoError::NoFeasibleMapping
         );
     }
@@ -359,11 +334,9 @@ mod tests {
     fn tighter_reliability_bounds_never_decrease_the_period() {
         let c = chain();
         let p = platform(6, 3);
-        let relaxed = minimize_period_with_reliability_bound(&c, &p, 0.5).unwrap();
-        let max_rel = crate::optimize_reliability_homogeneous(&c, &p)
-            .unwrap()
-            .reliability;
-        let tight = minimize_period_with_reliability_bound(&c, &p, max_rel * 0.999999).unwrap();
+        let relaxed = minimize(&c, &p, 0.5).unwrap();
+        let max_rel = optimize(&c, &p, None).unwrap().reliability;
+        let tight = minimize(&c, &p, max_rel * 0.999999).unwrap();
         assert!(tight.period >= relaxed.period - 1e-12);
     }
 
@@ -373,7 +346,7 @@ mod tests {
         let p = platform(4, 2);
         for bad in [0.0, -1.0, 1.5, f64::NAN] {
             assert_eq!(
-                minimize_period_with_reliability_bound(&c, &p, bad).unwrap_err(),
+                minimize(&c, &p, bad).unwrap_err(),
                 AlgoError::InvalidBound("reliability bound")
             );
         }
@@ -385,18 +358,15 @@ mod tests {
         let p = platform(6, 3);
         let oracle = IntervalOracle::new(&c, &p);
         for bound in [0.5, 0.9, 0.95, 0.99] {
-            let fast =
-                minimize_period_with_reliability_bound_with_oracle(&oracle, &c, &p, bound).unwrap();
+            let fast = minimize_period(&oracle, &c, &p, bound, &mut DpScratch::new()).unwrap();
             // Reference: probe every candidate in ascending order with a
             // fresh (cold-scratch) Algorithm 2 run and take the first hit.
             let reference = candidate_periods(&oracle, p.speed(0))
                 .into_iter()
-                .find_map(
-                    |period| match optimize_reliability_with_period_bound(&c, &p, period) {
-                        Ok(sol) if sol.reliability >= bound => Some((period, sol.reliability)),
-                        _ => None,
-                    },
-                )
+                .find_map(|period| match optimize(&c, &p, Some(period)) {
+                    Ok(sol) if sol.reliability >= bound => Some((period, sol.reliability)),
+                    _ => None,
+                })
                 .expect("the relaxed bounds are feasible");
             assert_eq!(fast.period, reference.0, "bound {bound}");
             assert!((fast.reliability - reference.1).abs() < 1e-12);
@@ -446,7 +416,7 @@ mod tests {
             );
         }
         // And the end-to-end minimizer matches the unscaled instance.
-        let tiny = minimize_period_with_reliability_bound(&c, &p, 1e-12).unwrap();
+        let tiny = minimize(&c, &p, 1e-12).unwrap();
         assert!((tiny.period - 40.0 * scale).abs() < 1e-9 * scale);
     }
 }

@@ -11,6 +11,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rpo_algorithms::{algo_alloc, exact, exhaustive_alloc, heur_p_partition};
 use rpo_bench::{bench_chain, bench_hom_platform, bench_noisy_platform};
+use rpo_model::IntervalOracle;
 use rpo_rbd::{exact as rbd_exact, mapping_rbd};
 use std::hint::black_box;
 
@@ -24,8 +25,10 @@ fn rbd_routing_vs_exact(c: &mut Criterion) {
         // 3 intervals × `replicas` replicas keeps the direct RBD below the
         // exact evaluator's 30-block limit (3·replicas + 2·replicas² blocks).
         let platform = bench_noisy_platform(3 * replicas);
-        let partition = heur_p_partition(&chain, 3);
-        let mapping = algo_alloc(&chain, &platform, &partition).expect("enough processors");
+        let oracle = IntervalOracle::new(&chain, &platform);
+        let partition = heur_p_partition(&oracle, 3);
+        let mapping =
+            algo_alloc(&oracle, &chain, &platform, &partition).expect("enough processors");
         group.bench_with_input(
             BenchmarkId::new("routing_serial_parallel", replicas),
             &replicas,
@@ -61,15 +64,13 @@ fn rbd_routing_vs_exact(c: &mut Criterion) {
 fn alloc_greedy_vs_exhaustive(c: &mut Criterion) {
     let chain = bench_chain(12, 5);
     let platform = bench_hom_platform(10);
-    let partition = heur_p_partition(&chain, 5);
+    let partition = heur_p_partition(&IntervalOracle::new(&chain, &platform), 5);
     let mut group = c.benchmark_group("ablation_allocation");
     group.bench_function("algo_alloc_greedy", |b| {
         b.iter(|| {
-            algo_alloc(
-                black_box(&chain),
-                black_box(&platform),
-                black_box(&partition),
-            )
+            let (chain, platform) = (black_box(&chain), black_box(&platform));
+            let oracle = IntervalOracle::new(chain, platform);
+            algo_alloc(&oracle, chain, platform, black_box(&partition))
         })
     });
     group.bench_function("exhaustive_allocation", |b| {
@@ -94,7 +95,9 @@ fn sweep_profiles_vs_resolve(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("profile_set_then_scan", |b| {
         b.iter(|| {
-            let set = exact::ProfileSet::build(black_box(&chain), black_box(&platform)).unwrap();
+            let (chain, platform) = (black_box(&chain), black_box(&platform));
+            let set =
+                exact::ProfileSet::build(&IntervalOracle::new(chain, platform), platform).unwrap();
             bounds
                 .iter()
                 .filter_map(|&(p, l)| set.best_reliability_under(p, l))
@@ -106,7 +109,9 @@ fn sweep_profiles_vs_resolve(c: &mut Criterion) {
             bounds
                 .iter()
                 .filter_map(|&(p, l)| {
-                    exact::optimal_homogeneous(black_box(&chain), black_box(&platform), p, l)
+                    let (chain, platform) = (black_box(&chain), black_box(&platform));
+                    let oracle = IntervalOracle::new(chain, platform);
+                    exact::optimal_homogeneous(&oracle, chain, platform, p, l)
                         .ok()
                         .map(|s| s.reliability)
                 })
@@ -124,10 +129,18 @@ fn exhaustive_vs_ilp(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_exact_solver");
     group.sample_size(10);
     group.bench_function("exhaustive_partitions", |b| {
-        b.iter(|| exact::optimal_homogeneous(black_box(&chain), black_box(&platform), 300.0, 800.0))
+        b.iter(|| {
+            let (chain, platform) = (black_box(&chain), black_box(&platform));
+            let oracle = IntervalOracle::new(chain, platform);
+            exact::optimal_homogeneous(&oracle, chain, platform, 300.0, 800.0)
+        })
     });
     group.bench_function("ilp_branch_and_bound", |b| {
-        b.iter(|| exact::optimal_by_ilp(black_box(&chain), black_box(&platform), 300.0, 800.0))
+        b.iter(|| {
+            let (chain, platform) = (black_box(&chain), black_box(&platform));
+            let oracle = IntervalOracle::new(chain, platform);
+            exact::optimal_by_ilp(&oracle, chain, platform, 300.0, 800.0)
+        })
     });
     group.finish();
 }

@@ -4,11 +4,19 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rpo_algorithms::{
-    exact, minimize_period_with_reliability_bound, optimize_reliability_homogeneous,
-    optimize_reliability_with_period_bound, run_heuristic, HeuristicConfig, IntervalHeuristic,
+    exact, minimize_period, optimize_reliability, run_heuristic, DpScratch, HeuristicConfig,
+    IntervalHeuristic, OptimalMapping, Result,
 };
 use rpo_bench::{bench_chain, bench_het_platform, bench_hom_platform};
+use rpo_model::{IntervalOracle, Platform, TaskChain};
 use std::hint::black_box;
+
+/// Algorithm 1 (`None`) or 2 as a one-off solve: the timed work includes
+/// building the oracle and the DP scratch.
+fn optimize(chain: &TaskChain, platform: &Platform, bound: Option<f64>) -> Result<OptimalMapping> {
+    let oracle = IntervalOracle::new(chain, platform);
+    optimize_reliability(&oracle, chain, platform, bound, &mut DpScratch::new())
+}
 
 fn algorithm1_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("algorithm1_reliability_dp");
@@ -16,14 +24,14 @@ fn algorithm1_scaling(c: &mut Criterion) {
         let chain = bench_chain(n, 7);
         let platform = bench_hom_platform(10);
         group.bench_with_input(BenchmarkId::new("tasks", n), &n, |b, _| {
-            b.iter(|| optimize_reliability_homogeneous(black_box(&chain), black_box(&platform)))
+            b.iter(|| optimize(black_box(&chain), black_box(&platform), None))
         });
     }
     for &p in &[5usize, 10, 20, 40] {
         let chain = bench_chain(15, 7);
         let platform = bench_hom_platform(p);
         group.bench_with_input(BenchmarkId::new("processors", p), &p, |b, _| {
-            b.iter(|| optimize_reliability_homogeneous(black_box(&chain), black_box(&platform)))
+            b.iter(|| optimize(black_box(&chain), black_box(&platform), None))
         });
     }
     group.finish();
@@ -39,10 +47,10 @@ fn algorithm2_period_bound(c: &mut Criterion) {
             &period,
             |b, &period| {
                 b.iter(|| {
-                    optimize_reliability_with_period_bound(
+                    optimize(
                         black_box(&chain),
                         black_box(&platform),
-                        black_box(period),
+                        Some(black_box(period)),
                     )
                 })
             },
@@ -56,11 +64,10 @@ fn period_minimization(c: &mut Criterion) {
     let platform = bench_hom_platform(10);
     c.bench_function("period_minimization_reliability_0_99999", |b| {
         b.iter(|| {
-            minimize_period_with_reliability_bound(
-                black_box(&chain),
-                black_box(&platform),
-                black_box(0.99999),
-            )
+            let (chain, platform) = (black_box(&chain), black_box(&platform));
+            let oracle = IntervalOracle::new(chain, platform);
+            let bound = black_box(0.99999);
+            minimize_period(&oracle, chain, platform, bound, &mut DpScratch::new())
         })
     });
 }
@@ -80,7 +87,15 @@ fn heuristics(c: &mut Criterion) {
             latency_bound: 750.0,
         };
         group.bench_function(format!("{name}_homogeneous"), |b| {
-            b.iter(|| run_heuristic(black_box(&chain), black_box(&hom), black_box(&config)))
+            b.iter(|| {
+                let (chain, hom) = (black_box(&chain), black_box(&hom));
+                run_heuristic(
+                    &IntervalOracle::new(chain, hom),
+                    chain,
+                    hom,
+                    black_box(&config),
+                )
+            })
         });
         let het_config = HeuristicConfig {
             interval_heuristic: heuristic,
@@ -88,7 +103,15 @@ fn heuristics(c: &mut Criterion) {
             latency_bound: 150.0,
         };
         group.bench_function(format!("{name}_heterogeneous"), |b| {
-            b.iter(|| run_heuristic(black_box(&chain), black_box(&het), black_box(&het_config)))
+            b.iter(|| {
+                let (chain, het) = (black_box(&chain), black_box(&het));
+                run_heuristic(
+                    &IntervalOracle::new(chain, het),
+                    chain,
+                    het,
+                    black_box(&het_config),
+                )
+            })
         });
     }
     group.finish();
@@ -101,16 +124,25 @@ fn exact_solvers(c: &mut Criterion) {
     let platform = bench_hom_platform(10);
     group.bench_function("exhaustive_n15", |b| {
         b.iter(|| {
-            exact::optimal_homogeneous(black_box(&chain15), black_box(&platform), 250.0, 750.0)
+            let (chain, platform) = (black_box(&chain15), black_box(&platform));
+            let oracle = IntervalOracle::new(chain, platform);
+            exact::optimal_homogeneous(&oracle, chain, platform, 250.0, 750.0)
         })
     });
     group.bench_function("profile_set_build_n15", |b| {
-        b.iter(|| exact::ProfileSet::build(black_box(&chain15), black_box(&platform)))
+        b.iter(|| {
+            let (chain, platform) = (black_box(&chain15), black_box(&platform));
+            exact::ProfileSet::build(&IntervalOracle::new(chain, platform), platform)
+        })
     });
     let chain8 = bench_chain(8, 7);
     let platform6 = bench_hom_platform(6);
     group.bench_function("ilp_branch_and_bound_n8", |b| {
-        b.iter(|| exact::optimal_by_ilp(black_box(&chain8), black_box(&platform6), 300.0, 800.0))
+        b.iter(|| {
+            let (chain, platform) = (black_box(&chain8), black_box(&platform6));
+            let oracle = IntervalOracle::new(chain, platform);
+            exact::optimal_by_ilp(&oracle, chain, platform, 300.0, 800.0)
+        })
     });
     group.finish();
 }

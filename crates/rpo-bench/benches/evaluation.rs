@@ -5,15 +5,16 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rpo_algorithms::{algo_alloc, heur_p_partition};
 use rpo_bench::{bench_chain, bench_hom_platform};
-use rpo_model::{reliability, MappingEvaluation};
+use rpo_model::{reliability, IntervalOracle, MappingEvaluation};
 use rpo_rbd::mapping_rbd;
 use std::hint::black_box;
 
 fn evaluation(c: &mut Criterion) {
     let chain = bench_chain(15, 7);
     let platform = bench_hom_platform(10);
-    let partition = heur_p_partition(&chain, 5);
-    let mapping = algo_alloc(&chain, &platform, &partition).expect("enough processors");
+    let oracle = IntervalOracle::new(&chain, &platform);
+    let partition = heur_p_partition(&oracle, 5);
+    let mapping = algo_alloc(&oracle, &chain, &platform, &partition).expect("enough processors");
 
     let mut group = c.benchmark_group("evaluation");
     group.bench_function("mapping_reliability_eq9", |b| {
@@ -60,13 +61,18 @@ fn profile_precomputation(c: &mut Criterion) {
         let platform = bench_hom_platform(10);
         group.bench_with_input(BenchmarkId::new("build", n), &n, |b, _| {
             b.iter(|| {
-                rpo_algorithms::exact::ProfileSet::build(black_box(&chain), black_box(&platform))
+                let (chain, platform) = (black_box(&chain), black_box(&platform));
+                rpo_algorithms::exact::ProfileSet::build(
+                    &IntervalOracle::new(chain, platform),
+                    platform,
+                )
             })
         });
     }
     let chain = bench_chain(15, 7);
     let platform = bench_hom_platform(10);
-    let set = rpo_algorithms::exact::ProfileSet::build(&chain, &platform).unwrap();
+    let oracle = IntervalOracle::new(&chain, &platform);
+    let set = rpo_algorithms::exact::ProfileSet::build(&oracle, &platform).unwrap();
     group.bench_function("sweep_query", |b| {
         b.iter(|| set.best_reliability_under(black_box(250.0), black_box(750.0)))
     });

@@ -7,14 +7,16 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rpo_algorithms::{algo_alloc, heur_p_partition};
 use rpo_bench::{bench_chain, bench_noisy_platform};
+use rpo_model::IntervalOracle;
 use rpo_sim::{monte_carlo, simulate_dataset, simulate_pipeline, MonteCarloConfig, PipelineConfig};
 use std::hint::black_box;
 
 fn dataset_injection(c: &mut Criterion) {
     let chain = bench_chain(15, 7);
     let platform = bench_noisy_platform(10);
-    let partition = heur_p_partition(&chain, 5);
-    let mapping = algo_alloc(&chain, &platform, &partition).expect("enough processors");
+    let oracle = IntervalOracle::new(&chain, &platform);
+    let partition = heur_p_partition(&oracle, 5);
+    let mapping = algo_alloc(&oracle, &chain, &platform, &partition).expect("enough processors");
 
     let mut group = c.benchmark_group("simulator_dataset");
     group.throughput(Throughput::Elements(1));
@@ -35,8 +37,9 @@ fn dataset_injection(c: &mut Criterion) {
 fn monte_carlo_batches(c: &mut Criterion) {
     let chain = bench_chain(15, 7);
     let platform = bench_noisy_platform(10);
-    let partition = heur_p_partition(&chain, 5);
-    let mapping = algo_alloc(&chain, &platform, &partition).expect("enough processors");
+    let oracle = IntervalOracle::new(&chain, &platform);
+    let partition = heur_p_partition(&oracle, 5);
+    let mapping = algo_alloc(&oracle, &chain, &platform, &partition).expect("enough processors");
 
     let mut group = c.benchmark_group("simulator_monte_carlo");
     group.sample_size(10);
@@ -67,8 +70,9 @@ fn monte_carlo_batches(c: &mut Criterion) {
 fn pipelined_des(c: &mut Criterion) {
     let chain = bench_chain(15, 7);
     let platform = bench_noisy_platform(10);
-    let partition = heur_p_partition(&chain, 5);
-    let mapping = algo_alloc(&chain, &platform, &partition).expect("enough processors");
+    let oracle = IntervalOracle::new(&chain, &platform);
+    let partition = heur_p_partition(&oracle, 5);
+    let mapping = algo_alloc(&oracle, &chain, &platform, &partition).expect("enough processors");
 
     let mut group = c.benchmark_group("simulator_pipeline");
     for &datasets in &[1_000usize, 5_000] {

@@ -12,47 +12,33 @@
 //! Usage:
 //! `cargo run --release -p rpo-bench --bin oracle_baseline \
 //!     [oracle_output] [kernel_output] [het_output] [het_lat_output] [repair_output] \
-//!     [serve_output] \
-//!     [--enforce-kernel-speedup] [--enforce-het-gain] [--enforce-het-lat-gain] \
-//!     [--enforce-obs-overhead] [--enforce-batch-speedup] [--enforce-repair-speedup] \
-//!     [--enforce-het-kernel-speedup] [--enforce-serve-latency]`
+//!     [serve_output] [--enforce]`
 //! (default output paths `BENCH_oracle.json`, `BENCH_kernel.json`,
 //! `BENCH_het.json`, `BENCH_het_lat.json`, `BENCH_repair.json` and
 //! `BENCH_serve.json` in the working directory).
-//! With `--enforce-kernel-speedup` the process exits non-zero if the chunked
-//! kernel measures slower than the scalar reference; with
-//! `--enforce-het-gain` it exits non-zero if `algo_het` ever falls below the
-//! greedy reliability (or solves fewer instances); with
-//! `--enforce-het-lat-gain` it exits non-zero unless `algo_het_lat` beats
-//! the latency-aware greedy pipeline strictly somewhere with no losses, no
-//! missed solves and no bound violations; with `--enforce-obs-overhead` it
-//! exits non-zero if the portfolio batch with observability recording
-//! enabled measures more than 3% slower than the same batch with the
-//! runtime toggle off (on hosts with ≤ 2 cores the medians are scheduler
-//! jitter, so the numbers are reported but not enforced); with
-//! `--enforce-batch-speedup` it exits non-zero
-//! unless the batched SoA mega-kernel clears 1.4× the per-instance chunked
-//! kernel on a 512-instance same-shape homogeneous stream (2× with the
-//! AVX-512 zmm `RUSTFLAGS` opt-in documented in `.cargo/config.toml`) *and*
-//! the padded near-shape mixed-length stream beats the per-instance kernel
-//! (the padded stream must additionally match it bit-for-bit — that check
-//! is asserted unconditionally, flags or not; both floors are reported but
-//! not enforced on ≤ 2-core hosts); with `--enforce-repair-speedup` it exits
-//! non-zero unless repairing a single-processor failure through the
-//! `rpo-repair` ladder measures at least 10× faster than a cold oracle
-//! rebuild + re-solve at the same size *and* lands on the cold re-solve's
-//! exact reliability; with `--enforce-het-kernel-speedup` it exits non-zero
-//! unless the chunked `algo_het` class-DP kernel clears 1.3× the scalar
-//! reference at the paper's 10-processor 3-class setup stretched to
-//! n = 100 tasks (bit-identical mappings are asserted unconditionally;
-//! like the overhead guard, the speedup floors are reported but not
-//! enforced on ≤ 2-core hosts); with `--enforce-serve-latency` it exits
-//! non-zero unless the solver service sustains 2 000 req/s with p99 latency
-//! under the request deadline on a 2 048-request ≥ 30%-duplicate replay
-//! (wall-clock floors environment-aware as above; the structural
-//! invariants — zero responses delivered past their deadline, zero shed
-//! responses carrying solve work — are asserted unconditionally, flags or
-//! not) — the CI smoke step runs all eight.
+//!
+//! With `--enforce` the run also measures the observability overhead and
+//! exits non-zero if any row of its perf-gate table regressed:
+//!
+//! | gate | fails when | on ≤ 2-core hosts |
+//! |---|---|---|
+//! | kernel | the chunked DP kernel measures slower than the scalar reference | enforced |
+//! | het | `algo_het` falls below the greedy reliability, or solves fewer instances | enforced |
+//! | het-lat | `algo_het_lat` has a loss, a missed solve or a bound violation against the latency-aware greedy pipeline, or no strict win | enforced |
+//! | obs | the portfolio batch with observability recording enabled is more than 3% slower than with the runtime toggle off | reported only |
+//! | batch | the batched SoA mega-kernel is below 1.4× the per-instance chunked kernel on a 512-instance same-shape homogeneous stream (2× with the AVX-512 zmm `RUSTFLAGS` opt-in documented in `.cargo/config.toml`) | reported only |
+//! | padded | the padded near-shape mixed-length stream is slower than the per-instance kernel | reported only |
+//! | het-kernel | the chunked `algo_het` class-DP kernel is below 1.3× the scalar reference at the paper's 10-processor 3-class setup stretched to n = 100 tasks | reported only |
+//! | repair | repairing a single-processor failure through the `rpo-repair` ladder is below 10× a cold oracle rebuild + re-solve at the same size, or misses the cold re-solve's exact reliability | enforced |
+//! | serve | the solver service sustains less than 2 000 req/s, or its p99 latency exceeds the request deadline, on a 2 048-request ≥ 30%-duplicate replay | reported only |
+//!
+//! On hosts with ≤ 2 cores the wall-clock medians behind the "reported
+//! only" floors are scheduler jitter, so those floors print a note instead
+//! of failing. The bit-identity and structural checks (the padded stream
+//! and the chunked class-DP kernel match their references bit-for-bit; no
+//! serve response is delivered past its deadline; no shed response carries
+//! solve work) assert unconditionally, with or without `--enforce`. The CI
+//! perf step runs with `--enforce`.
 //!
 //! All four reports go through the shared [`rpo_obs::write_bench_report`]
 //! reporter: the payload fields stay at the top level and the cumulative
@@ -68,11 +54,8 @@
 //! oracle, kept here as the measurement baseline.
 
 use rpo_algorithms::{
-    algo_het_lat_with_oracle, algo_het_with_oracle, class_dp_with_kernel,
-    greedy_het_lat_with_oracle, greedy_het_with_oracle,
-    optimize_reliability_homogeneous_with_oracle,
-    optimize_reliability_with_period_bound_with_oracle, reliability_dp_with_kernel,
-    reliability_dp_with_scratch, solve_batch, BatchLane, BatchScratch, DpKernel, DpScratch,
+    algo_het, algo_het_lat, class_dp_with_kernel, greedy_het, greedy_het_lat, optimize_reliability,
+    reliability_dp_with_kernel, solve_batch, BatchLane, BatchScratch, DpKernel, DpScratch,
     HetLatMethod, HetMethod, OptimalMapping, LANES,
 };
 use rpo_bench::{bench_chain, bench_hom_platform};
@@ -177,7 +160,7 @@ struct BatchSoaComparison {
     per_instance_per_s: f64,
     blocked_per_s: f64,
     /// Batched mega-kernel vs the per-instance kernel — the
-    /// `--enforce-batch-speedup` gate fails below 1.4×. (The floor was 2×
+    /// `--enforce` batch gate fails below 1.4×. (The floor was 2×
     /// when the default build carried the AVX-512 zmm opt-out removed from
     /// `.cargo/config.toml`; the default 256-bit build lands lower. The 2×
     /// figure is still reachable with the `RUSTFLAGS` opt-in documented
@@ -208,15 +191,9 @@ fn run_batch_soa() -> BatchSoaComparison {
     let mut scratch = DpScratch::new();
     let per_instance_millis = time_median(BATCH_SOA_REPS, || {
         for lane in 0..BATCH_SOA_INSTANCES {
-            let result = reliability_dp_with_scratch(
-                &oracles[lane],
-                &chains[lane],
-                &platform,
-                None,
-                DpKernel::Chunked,
-                &mut scratch,
-            );
-            std::hint::black_box(result);
+            let result =
+                optimize_reliability(&oracles[lane], &chains[lane], &platform, None, &mut scratch);
+            std::hint::black_box(result.ok());
         }
     });
     let mut batch_scratch = BatchScratch::new();
@@ -279,7 +256,7 @@ struct PaddedBatchComparison {
     per_instance_millis: f64,
     batched_millis: f64,
     /// Batched stream vs the per-instance kernel — the
-    /// `--enforce-batch-speedup` gate fails below 1× on hosts with the
+    /// `--enforce` batch gate fails below 1× on hosts with the
     /// headroom to measure it.
     speedup: f64,
     /// Every lane's batched answer equals the per-instance chunked kernel's
@@ -329,15 +306,9 @@ fn run_padded_batch() -> PaddedBatchComparison {
     let mut scratch = DpScratch::new();
     let per_instance_millis = time_median(PADDED_REPS, || {
         for lane in 0..PADDED_INSTANCES {
-            let result = reliability_dp_with_scratch(
-                &oracles[lane],
-                &chains[lane],
-                &platform,
-                None,
-                DpKernel::Chunked,
-                &mut scratch,
-            );
-            std::hint::black_box(result);
+            let result =
+                optimize_reliability(&oracles[lane], &chains[lane], &platform, None, &mut scratch);
+            std::hint::black_box(result.ok());
         }
     });
     let mut batch_scratch = BatchScratch::new();
@@ -347,15 +318,9 @@ fn run_padded_batch() -> PaddedBatchComparison {
     });
     let batched = solve_batch(&lanes, &mut batch_scratch);
     let bit_identical = (0..PADDED_INSTANCES).all(|lane| {
-        let per = reliability_dp_with_scratch(
-            &oracles[lane],
-            &chains[lane],
-            &platform,
-            None,
-            DpKernel::Chunked,
-            &mut scratch,
-        );
-        same_solution(&per, &batched[lane])
+        let per =
+            optimize_reliability(&oracles[lane], &chains[lane], &platform, None, &mut scratch);
+        same_solution(&per.ok(), &batched[lane])
     });
     PaddedBatchComparison {
         instances: PADDED_INSTANCES,
@@ -421,7 +386,7 @@ struct HetKernelComparison {
     scalar_millis: f64,
     chunked_millis: f64,
     /// Scalar inner loop vs chunked kernel — the
-    /// `--enforce-het-kernel-speedup` gate fails below 1.3× on hosts with
+    /// `--enforce` het-kernel gate fails below 1.3× on hosts with
     /// the headroom to measure it.
     speedup: f64,
     /// The chunked kernel returned the same mapping and bit-equal
@@ -456,7 +421,7 @@ fn run_het_kernel_comparison() -> HetKernelComparison {
         let bound = period_slack * chain.total_work() / platform.max_speed();
         // The same greedy incumbent primes both kernels' pruning, exactly
         // as `algo_het` does before entering the class DP.
-        let incumbent = greedy_het_with_oracle(&oracle, &chain, &platform, Some(bound))
+        let incumbent = greedy_het(&oracle, &chain, &platform, Some(bound))
             .map(|solution| solution.reliability)
             .unwrap_or(0.0);
         cases.push((oracle, chain, platform, bound, incumbent));
@@ -516,10 +481,10 @@ struct HetBaseline {
     /// Instances where the DP is strictly more reliable than the greedy.
     dp_wins: usize,
     /// Instances where the DP is *less* reliable than the greedy — must be
-    /// zero (`--enforce-het-gain` fails otherwise).
+    /// zero (the `--enforce` het gate fails otherwise).
     dp_losses: usize,
     /// Chunked vs scalar class-DP kernel timings at the n = 100 scaling
-    /// point (the `--enforce-het-kernel-speedup` gate).
+    /// point (the `--enforce` het-kernel gate).
     het_kernel: HetKernelComparison,
 }
 
@@ -556,10 +521,10 @@ fn run_het_baseline(het_kernel: HetKernelComparison) -> HetBaseline {
         let bound = period_slack * chain.total_work() / platform.max_speed();
 
         let start = Instant::now();
-        let dp = algo_het_with_oracle(&oracle, chain, platform, Some(bound));
+        let dp = algo_het(&oracle, chain, platform, Some(bound));
         baseline.dp_total_millis += start.elapsed().as_secs_f64() * 1e3;
         let start = Instant::now();
-        let greedy = greedy_het_with_oracle(&oracle, chain, platform, Some(bound));
+        let greedy = greedy_het(&oracle, chain, platform, Some(bound));
         baseline.greedy_total_millis += start.elapsed().as_secs_f64() * 1e3;
 
         if let Ok(dp) = &dp {
@@ -621,7 +586,7 @@ struct HetLatBaseline {
     mean_failure_gain: f64,
     max_failure_gain: f64,
     /// Instances where the DP is strictly more reliable than the greedy —
-    /// must be positive (`--enforce-het-lat-gain` fails otherwise).
+    /// must be positive (the `--enforce` het-lat gate fails otherwise).
     dp_wins: usize,
     /// Instances where the DP is *less* reliable than the greedy — must be
     /// zero.
@@ -663,16 +628,17 @@ fn run_het_lat_baseline() -> HetLatBaseline {
         baseline.classes = oracle.classes().len();
 
         let start = Instant::now();
-        let dp = algo_het_lat_with_oracle(
+        let dp = algo_het_lat(
             &oracle,
             chain,
             platform,
             Some(bounded.period_bound),
             bounded.latency_bound,
+            &mut DpScratch::new(),
         );
         baseline.dp_total_millis += start.elapsed().as_secs_f64() * 1e3;
         let start = Instant::now();
-        let greedy = greedy_het_lat_with_oracle(
+        let greedy = greedy_het_lat(
             &oracle,
             chain,
             platform,
@@ -722,7 +688,7 @@ fn run_het_lat_baseline() -> HetLatBaseline {
 /// delta-oblivious pipeline pays — a fresh [`IntervalOracle`] plus a full
 /// Algorithm 1 run on the shrunken platform; the repair side answers the
 /// same question through [`rpo_repair::RepairSession::apply`]. The
-/// `--enforce-repair-speedup` gate fails below 10×, or if the repaired
+/// `--enforce` repair gate fails below 10×, or if the repaired
 /// reliability drifts from the cold optimum by more than 1e-12 relative.
 #[derive(Debug, Serialize)]
 struct RepairBaseline {
@@ -782,7 +748,7 @@ fn run_repair_baseline() -> RepairBaseline {
     let mut cold_reliability = 0.0;
     let cold_millis = time_median(DP_REPS, || {
         let oracle = IntervalOracle::new(&chain, &shrunken);
-        let result = optimize_reliability_homogeneous_with_oracle(&oracle, &chain, &shrunken)
+        let result = optimize_reliability(&oracle, &chain, &shrunken, None, &mut DpScratch::new())
             .expect("cold re-solve");
         cold_reliability = result.reliability;
         std::hint::black_box(&result);
@@ -899,12 +865,13 @@ fn compare_dp(chain: &TaskChain, platform: &Platform, period_bound: Option<f64>)
         // Oracle construction is part of the measured fast path: one oracle
         // per instance is exactly what the solvers pay.
         let oracle = IntervalOracle::new(chain, platform);
-        let result = match period_bound {
-            None => optimize_reliability_homogeneous_with_oracle(&oracle, chain, platform),
-            Some(bound) => {
-                optimize_reliability_with_period_bound_with_oracle(&oracle, chain, platform, bound)
-            }
-        };
+        let result = optimize_reliability(
+            &oracle,
+            chain,
+            platform,
+            period_bound,
+            &mut DpScratch::new(),
+        );
         std::hint::black_box(result.ok());
     });
     DpComparison {
@@ -1115,7 +1082,7 @@ const SERVE_SEED: u64 = 9010;
 /// The serve replay: a duplicate-heavy request stream paced to its Poisson
 /// arrival offsets and driven through an in-process [`SolverService`],
 /// measuring sustained throughput, the latency distribution, and the
-/// admission-control invariants (`--enforce-serve-latency` gate).
+/// admission-control invariants (the `--enforce` serve gate).
 #[derive(Debug, Serialize)]
 struct ServeBaseline {
     /// Requests replayed (gate: ≥ 2 000).
@@ -1305,28 +1272,22 @@ fn run_serve_baseline() -> ServeBaseline {
     }
 }
 
+/// One row of the perf-gate table `--enforce` checks.
+struct Gate {
+    /// Whether the measurement missed its floor.
+    regressed: bool,
+    /// `Some(note)` for a wall-clock floor: on a ≤ 2-core host the note is
+    /// printed instead of failing the run.
+    starved_note: Option<String>,
+    /// What a failing run prints after `FAIL: `.
+    failure: &'static str,
+}
+
 fn main() {
-    let (mut outputs, mut enforce, mut enforce_het, mut enforce_het_lat, mut enforce_obs) =
-        (Vec::new(), false, false, false, false);
-    let (mut enforce_batch, mut enforce_repair, mut enforce_het_kernel) = (false, false, false);
-    let mut enforce_serve = false;
+    let (mut outputs, mut enforce) = (Vec::new(), false);
     for arg in std::env::args().skip(1) {
-        if arg == "--enforce-kernel-speedup" {
+        if arg == "--enforce" {
             enforce = true;
-        } else if arg == "--enforce-het-gain" {
-            enforce_het = true;
-        } else if arg == "--enforce-het-lat-gain" {
-            enforce_het_lat = true;
-        } else if arg == "--enforce-obs-overhead" {
-            enforce_obs = true;
-        } else if arg == "--enforce-batch-speedup" {
-            enforce_batch = true;
-        } else if arg == "--enforce-repair-speedup" {
-            enforce_repair = true;
-        } else if arg == "--enforce-het-kernel-speedup" {
-            enforce_het_kernel = true;
-        } else if arg == "--enforce-serve-latency" {
-            enforce_serve = true;
         } else {
             outputs.push(arg);
         }
@@ -1608,126 +1569,113 @@ fn main() {
         serve.throughput_req_per_s < 2_000.0 || serve.latency_p99_ms > serve.deadline_ms;
     write_json(&serve_output, "serve", &serve);
 
-    let mut obs_regressed = false;
-    if enforce_obs {
-        eprintln!(
-            "measuring observability overhead ({OVERHEAD_REPS} batches per side, \
-             median throughput) …"
-        );
-        // Disabled side first: any residual warm-up bias then favours the
-        // *uninstrumented* baseline, so a passing guard is not an ordering
-        // artifact.
-        let disabled = overhead_throughput(false);
-        let enabled = overhead_throughput(true);
-        let ratio = enabled / disabled;
-        // Throughput medians on starved runners (boxes pinned to one or two
-        // cores) are dominated by scheduler jitter, not recording cost: the
-        // same build measures 15–30% "overhead" run to run with the
-        // instrumented side's absolute throughput unchanged (the *baseline*
-        // moves). No fixed budget is meaningful there, so report the numbers
-        // and enforce nothing; the tight 3% budget holds wherever there is
-        // headroom to measure it.
-        eprintln!(
-            "  obs enabled {enabled:.1} instances/sec vs disabled {disabled:.1} \
-             instances/sec ({:.1}% overhead; {cores} cores)",
-            100.0 * (1.0 - ratio),
-        );
-        if starved {
-            eprintln!(
+    if !enforce {
+        return;
+    }
+    eprintln!(
+        "measuring observability overhead ({OVERHEAD_REPS} batches per side, \
+         median throughput) …"
+    );
+    // Disabled side first: any residual warm-up bias then favours the
+    // *uninstrumented* baseline, so a passing guard is not an ordering
+    // artifact.
+    let disabled = overhead_throughput(false);
+    let enabled = overhead_throughput(true);
+    let ratio = enabled / disabled;
+    // Throughput medians on starved runners (boxes pinned to one or two
+    // cores) are dominated by scheduler jitter, not recording cost: the
+    // same build measures 15–30% "overhead" run to run with the
+    // instrumented side's absolute throughput unchanged (the *baseline*
+    // moves). No fixed budget is meaningful there, so the gate reports the
+    // numbers and enforces nothing; the tight 3% budget holds wherever there
+    // is headroom to measure it.
+    eprintln!(
+        "  obs enabled {enabled:.1} instances/sec vs disabled {disabled:.1} \
+         instances/sec ({:.1}% overhead; {cores} cores)",
+        100.0 * (1.0 - ratio),
+    );
+
+    let gates = [
+        Gate {
+            regressed: slower,
+            starved_note: None,
+            failure: "the chunked kernel measured slower than the scalar reference",
+        },
+        Gate {
+            regressed: het_regressed,
+            starved_note: None,
+            failure: "algo_het fell below the greedy baseline (losses or fewer solves)",
+        },
+        Gate {
+            regressed: het_lat_regressed,
+            starved_note: None,
+            failure: "algo_het_lat regressed against the latency-aware greedy baseline \
+                      (losses, fewer solves, no strict wins, or bound violations)",
+        },
+        Gate {
+            regressed: ratio < 0.97,
+            starved_note: Some(
                 "  (≤2-core host: medians reflect scheduler jitter, not recording \
                  cost — reporting only, gate not enforced)"
-            );
-        } else {
-            obs_regressed = ratio < 0.97;
-        }
-    }
-
-    if enforce && slower {
-        eprintln!("FAIL: the chunked kernel measured slower than the scalar reference");
-        std::process::exit(1);
-    }
-    if enforce_het && het_regressed {
-        eprintln!("FAIL: algo_het fell below the greedy baseline (losses or fewer solves)");
-        std::process::exit(1);
-    }
-    if enforce_het_lat && het_lat_regressed {
-        eprintln!(
-            "FAIL: algo_het_lat regressed against the latency-aware greedy baseline \
-             (losses, fewer solves, no strict wins, or bound violations)"
-        );
-        std::process::exit(1);
-    }
-    if obs_regressed {
-        eprintln!(
-            "FAIL: observability overhead exceeded the environment-aware budget \
-             of the uninstrumented batch"
-        );
-        std::process::exit(1);
-    }
-    if enforce_batch && batch_regressed {
-        if starved {
-            eprintln!(
+                    .to_string(),
+            ),
+            failure: "observability overhead exceeded the environment-aware budget \
+                      of the uninstrumented batch",
+        },
+        Gate {
+            regressed: batch_regressed,
+            starved_note: Some(format!(
                 "  (≤2-core host: batched SoA speedup {:.2}× reported only, \
                  1.4× floor not enforced)",
                 kernel.batch_soa.speedup
-            );
-        } else {
-            eprintln!(
-                "FAIL: the batched SoA mega-kernel measured below 1.4× the per-instance \
-                 chunked kernel on the same-shape stream (2× with the zmm opt-in build)"
-            );
-            std::process::exit(1);
-        }
-    }
-    if enforce_batch && padded_regressed {
-        if starved {
-            eprintln!(
+            )),
+            failure: "the batched SoA mega-kernel measured below 1.4× the per-instance \
+                      chunked kernel on the same-shape stream (2× with the zmm opt-in build)",
+        },
+        Gate {
+            regressed: padded_regressed,
+            starved_note: Some(format!(
                 "  (≤2-core host: padded near-shape speedup {:.2}× reported only, \
                  floor not enforced)",
                 kernel.batch_padded.speedup
-            );
-        } else {
-            eprintln!(
-                "FAIL: the padded near-shape batch measured slower than per-instance \
-                 chunked solves on the mixed-length stream"
-            );
-            std::process::exit(1);
-        }
-    }
-    if enforce_het_kernel && het_kernel_regressed {
-        if starved {
-            eprintln!(
+            )),
+            failure: "the padded near-shape batch measured slower than per-instance \
+                      chunked solves on the mixed-length stream",
+        },
+        Gate {
+            regressed: het_kernel_regressed,
+            starved_note: Some(format!(
                 "  (≤2-core host: class-DP kernel speedup {:.2}× reported only, \
                  1.3× floor not enforced)",
                 het.het_kernel.speedup
-            );
-        } else {
-            eprintln!(
-                "FAIL: the chunked class-DP kernel measured below 1.3× the scalar \
-                 reference at the paper's 10-processor 3-class n = 100 regime"
-            );
-            std::process::exit(1);
-        }
-    }
-    if enforce_repair && repair_regressed {
-        eprintln!(
-            "FAIL: repairing a single-processor failure measured below 10× the cold \
-             re-solve, or its reliability drifted from the cold optimum"
-        );
-        std::process::exit(1);
-    }
-    if enforce_serve && serve_regressed {
-        if starved {
-            eprintln!(
+            )),
+            failure: "the chunked class-DP kernel measured below 1.3× the scalar \
+                      reference at the paper's 10-processor 3-class n = 100 regime",
+        },
+        Gate {
+            regressed: repair_regressed,
+            starved_note: None,
+            failure: "repairing a single-processor failure measured below 10× the cold \
+                      re-solve, or its reliability drifted from the cold optimum",
+        },
+        Gate {
+            regressed: serve_regressed,
+            starved_note: Some(
                 "  (≤2-core host: serve throughput/p99 floors reported only — the \
                  structural deadline and shed invariants asserted above still hold)"
-            );
-        } else {
-            eprintln!(
-                "FAIL: the solver service fell below 2 000 req/s sustained or its \
-                 p99 latency exceeded the request deadline on the duplicate-heavy replay"
-            );
-            std::process::exit(1);
+                    .to_string(),
+            ),
+            failure: "the solver service fell below 2 000 req/s sustained or its \
+                      p99 latency exceeded the request deadline on the duplicate-heavy replay",
+        },
+    ];
+    for gate in gates.iter().filter(|gate| gate.regressed) {
+        match &gate.starved_note {
+            Some(note) if starved => eprintln!("{note}"),
+            _ => {
+                eprintln!("FAIL: {}", gate.failure);
+                std::process::exit(1);
+            }
         }
     }
 }

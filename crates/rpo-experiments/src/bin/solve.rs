@@ -38,7 +38,7 @@
 //!   [`BatchReport`](rpo_portfolio::BatchReport), embedded
 //!   `MetricsSnapshot` included, for machine-to-machine diffing.
 
-use std::io::Read as _;
+use std::io::{ErrorKind, Read as _, Write as _};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -279,8 +279,8 @@ fn run_repair(count: usize, obs: &ObsArgs) -> Result<String, String> {
 /// default, or over TCP with `--tcp ADDR` (stdin EOF is the stop signal:
 /// every admitted request's response is written before the process exits).
 /// Responses stream to stdout; the drain summary goes to stderr so stdout
-/// stays machine-parseable.
-fn run_serve(obs: &ObsArgs) -> Result<String, String> {
+/// holds nothing but response lines.
+fn run_serve(obs: &ObsArgs) -> Result<(), String> {
     let engine = Arc::new(PortfolioEngine::default().with_threads(1));
     let mut config = ServeConfig::default();
     if let Some(workers) = obs.workers {
@@ -323,7 +323,7 @@ fn run_serve(obs: &ObsArgs) -> Result<String, String> {
         stats.drained,
         stats.solved,
     );
-    Ok(String::new())
+    Ok(())
 }
 
 /// Writes the requested trace exports after the work is done.
@@ -356,17 +356,18 @@ fn main() -> ExitCode {
             return ExitCode::SUCCESS;
         }
         [subcommand, count] if subcommand == "batch" => match count.parse::<usize>() {
-            Ok(count) => run_batch(count, &obs),
+            Ok(count) => run_batch(count, &obs).map(Some),
             Err(_) => Err(format!("invalid batch size {count:?}")),
         },
         [subcommand, count] if subcommand == "repair" => match count.parse::<usize>() {
-            Ok(count) => run_repair(count, &obs),
+            Ok(count) => run_repair(count, &obs).map(Some),
             Err(_) => Err(format!("invalid repair batch size {count:?}")),
         },
-        [subcommand] if subcommand == "serve" => run_serve(&obs),
-        [subcommand, path] if subcommand == "portfolio" => run(path, true),
+        // The service has already written its responses: no report follows.
+        [subcommand] if subcommand == "serve" => run_serve(&obs).map(|()| None),
+        [subcommand, path] if subcommand == "portfolio" => run(path, true).map(Some),
         [path] if path != "portfolio" && path != "batch" && path != "repair" && path != "serve" => {
-            run(path, false)
+            run(path, false).map(Some)
         }
         _ => {
             eprintln!("{USAGE}");
@@ -376,8 +377,16 @@ fn main() -> ExitCode {
     let outcome = outcome.and_then(|output| write_obs_outputs(&obs).map(|()| output));
     match outcome {
         Ok(output) => {
-            println!("{output}");
-            ExitCode::SUCCESS
+            let written = output.map_or(Ok(()), |output| writeln!(std::io::stdout(), "{output}"));
+            match written {
+                // A reader that closed stdout early (`| head`) took what it
+                // wanted: that is not a failure.
+                Err(error) if error.kind() != ErrorKind::BrokenPipe => {
+                    eprintln!("failed to write the report: {error}");
+                    ExitCode::FAILURE
+                }
+                _ => ExitCode::SUCCESS,
+            }
         }
         Err(message) => {
             eprintln!("{message}");

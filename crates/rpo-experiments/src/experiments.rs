@@ -9,8 +9,7 @@
 use rayon::prelude::*;
 use rpo_algorithms::exact::ProfileSet;
 use rpo_algorithms::{
-    algo_het_lat_with_oracle, algo_het_with_oracle, run_heuristic_with_oracle, HeuristicConfig,
-    IntervalHeuristic,
+    algo_het, algo_het_lat, run_heuristic, DpScratch, HeuristicConfig, IntervalHeuristic,
 };
 use rpo_model::{IntervalOracle, Platform};
 use rpo_workload::{ExperimentInstance, InstanceGenerator};
@@ -197,7 +196,7 @@ fn heuristic_reliability(
     period: f64,
     latency: f64,
 ) -> Option<f64> {
-    run_heuristic_with_oracle(
+    run_heuristic(
         oracle,
         &instance.chain,
         platform,
@@ -250,8 +249,8 @@ fn run_homogeneous(spec: &ExperimentSpec, instances: &[ExperimentInstance]) -> E
         .map(|instance| {
             let platform = &instance.homogeneous;
             let oracle = IntervalOracle::new(&instance.chain, platform);
-            let profiles = ProfileSet::build_with_oracle(&oracle, platform)
-                .expect("homogeneous platform by construction");
+            let profiles =
+                ProfileSet::build(&oracle, platform).expect("homogeneous platform by construction");
             let mut optimal = Vec::with_capacity(num_points);
             let mut heur_l = Vec::with_capacity(num_points);
             let mut heur_p = Vec::with_capacity(num_points);
@@ -378,7 +377,7 @@ pub fn run_het_dp_sweep(options: &SweepOptions) -> ExperimentData {
                 // One solve serves both curves: algo_het runs the greedy
                 // pipeline internally (fallback + pruner) and reports its
                 // reliability alongside the DP's.
-                match algo_het_with_oracle(&oracle, &instance.chain, platform, Some(x)) {
+                match algo_het(&oracle, &instance.chain, platform, Some(x)) {
                     Ok(solution) => {
                         dp.push(Some(solution.reliability));
                         greedy.push(solution.greedy_reliability);
@@ -426,17 +425,19 @@ pub fn run_het_lat_sweep(options: &SweepOptions) -> ExperimentData {
             let platform = &instance.heterogeneous;
             let period = 0.75 * instance.chain.total_work() / platform.max_speed();
             let oracle = IntervalOracle::new(&instance.chain, platform);
+            let mut scratch = DpScratch::new();
             let mut dp = Vec::with_capacity(num_points);
             let mut heur_l = Vec::with_capacity(num_points);
             let mut heur_p = Vec::with_capacity(num_points);
             for &latency in &x_values {
                 dp.push(
-                    algo_het_lat_with_oracle(
+                    algo_het_lat(
                         &oracle,
                         &instance.chain,
                         platform,
                         Some(period),
                         latency,
+                        &mut scratch,
                     )
                     .ok()
                     .map(|solution| solution.reliability),

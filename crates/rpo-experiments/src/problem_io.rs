@@ -5,7 +5,7 @@
 //! its evaluation. This is the "downstream user" entry point: no Rust code is
 //! needed to use the library on a concrete system.
 
-use rpo_algorithms::{exact, run_heuristic_with_oracle, HeuristicConfig, IntervalHeuristic};
+use rpo_algorithms::{exact, run_heuristic, HeuristicConfig, IntervalHeuristic};
 use rpo_model::{IntervalOracle, Mapping, Platform, Processor, ProcessorId, TaskChain};
 use serde::{Deserialize, Serialize};
 
@@ -181,7 +181,7 @@ pub fn solve(spec: &ProblemSpec) -> Result<SolveReport, String> {
         ("Heur-L", IntervalHeuristic::MinLatency),
         ("Heur-P", IntervalHeuristic::MinPeriod),
     ] {
-        let solution = run_heuristic_with_oracle(
+        let solution = run_heuristic(
             &oracle,
             &chain,
             &platform,
@@ -201,9 +201,7 @@ pub fn solve(spec: &ProblemSpec) -> Result<SolveReport, String> {
 
     let homogeneous = platform.is_homogeneous();
     if homogeneous && chain.len() <= exact::exhaustive::MAX_EXHAUSTIVE_TASKS {
-        let solution =
-            exact::optimal_homogeneous_with_oracle(&oracle, &chain, &platform, period, latency)
-                .ok();
+        let solution = exact::optimal_homogeneous(&oracle, &chain, &platform, period, latency).ok();
         methods.push(method_report(
             "exact",
             &oracle,
@@ -409,6 +407,36 @@ mod tests {
         let report = solve(&ProblemSpec::from_json(json).unwrap()).unwrap();
         assert!(!report.homogeneous_platform);
         assert_eq!(report.methods.len(), 2);
+    }
+
+    #[test]
+    fn heuristics_solve_an_unbounded_heterogeneous_problem() {
+        let json = r#"{
+            "tasks": [
+                {"work": 30, "output_size": 2},
+                {"work": 10, "output_size": 8},
+                {"work": 25, "output_size": 1},
+                {"work": 40}
+            ],
+            "platform": {
+                "processors": [
+                    {"speed": 4, "failure_rate": 1e-3},
+                    {"speed": 2, "failure_rate": 1e-3},
+                    {"speed": 1, "failure_rate": 1e-3},
+                    {"speed": 3, "failure_rate": 1e-3}
+                ],
+                "bandwidth": 1,
+                "link_failure_rate": 1e-4,
+                "max_replication": 2
+            }
+        }"#;
+        let spec = ProblemSpec::from_json(json).unwrap();
+        let report = solve(&spec).unwrap();
+        assert!(!report.homogeneous_platform);
+        for method in &report.methods {
+            assert!(method.feasible, "{} found no mapping", method.method);
+        }
+        assert!(solve_portfolio(&spec).unwrap().feasible);
     }
 
     #[test]

@@ -92,9 +92,9 @@ impl ProblemInstance {
         IntervalOracle::shared(&self.chain, &self.platform)
     }
 
-    /// A finite stand-in for the period bound, needed by solvers that reject
-    /// infinite bounds (`algo_alloc_heterogeneous`): the worst possible
-    /// single-interval period on the slowest processor, doubled.
+    /// A finite stand-in for the period bound, the top of `Het-Sweep`'s
+    /// ladder of period targets when the instance has no bound: the worst
+    /// possible single-interval period on the slowest processor, doubled.
     pub fn finite_period_bound(&self) -> f64 {
         if self.period_bound.is_finite() {
             self.period_bound

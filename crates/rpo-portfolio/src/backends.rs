@@ -2,16 +2,16 @@
 //!
 //! | backend | wraps | applicability |
 //! |---|---|---|
-//! | `Algo-1` | [`rpo_algorithms::optimize_reliability_homogeneous_with_scratch`] | homogeneous |
-//! | `Algo-2` | [`rpo_algorithms::optimize_with_period_bound_scratch`] | homogeneous, finite period bound |
-//! | `Period-Opt` | [`rpo_algorithms::minimize_period_with_reliability_bound_with_scratch`] | homogeneous |
+//! | `Algo-1` | [`rpo_algorithms::optimize_reliability`] with no period bound | homogeneous |
+//! | `Algo-2` | [`rpo_algorithms::optimize_reliability`] under the period bound | homogeneous, finite period bound |
+//! | `Period-Opt` | [`rpo_algorithms::minimize_period`] | homogeneous |
 //! | `Heur-L` | Heur-L partitions + Algo-Alloc / Section 7.2 allocation | always |
 //! | `Heur-P` | Heur-P partitions + Algo-Alloc / Section 7.2 allocation | always |
-//! | `Het-Dp` | [`rpo_algorithms::algo_het_with_oracle`] (exact class-level DP) | heterogeneous, few classes |
-//! | `Het-Dp-Lat` | [`rpo_algorithms::algo_het_lat_with_scratch`] (latency-aware label DP + Lagrangian fallback) | heterogeneous, few classes, finite latency bound |
+//! | `Het-Dp` | [`rpo_algorithms::algo_het`](fn@rpo_algorithms::algo_het) (exact class-level DP) | heterogeneous, few classes |
+//! | `Het-Dp-Lat` | [`rpo_algorithms::algo_het_lat`](fn@rpo_algorithms::algo_het_lat) (latency-aware label DP + Lagrangian fallback) | heterogeneous, few classes, finite latency bound |
 //! | `Het-Sweep` | Section 7.2 allocation swept over tightened period targets | heterogeneous |
-//! | `ILP` | [`rpo_algorithms::exact::optimal_by_ilp_with_oracle`] | homogeneous, small instances |
-//! | `Exhaustive` | [`rpo_algorithms::exact::optimal_homogeneous_with_oracle`] | homogeneous, bounded size |
+//! | `ILP` | [`rpo_algorithms::exact::optimal_by_ilp`] | homogeneous, small instances |
+//! | `Exhaustive` | [`rpo_algorithms::exact::optimal_homogeneous`] | homogeneous, bounded size |
 //!
 //! All adapters read their interval metrics from the one
 //! [`IntervalOracle`] the engine builds per instance, so racing ten
@@ -24,15 +24,11 @@
 use crate::backend::{
     Applicability, Budget, CandidateMapping, ProblemInstance, SolveContext, SolverBackend,
 };
-use rpo_algorithms::alloc::algo_alloc_with_oracle;
-use rpo_algorithms::alloc_het::{algo_alloc_heterogeneous_with_oracle, AllocationConstraints};
-use rpo_algorithms::exact;
-use rpo_algorithms::heur_l::heur_l_partition_with_oracle;
-use rpo_algorithms::heur_p::heur_p_partition_with_oracle;
+use rpo_algorithms::alloc_het::AllocationConstraints;
 use rpo_algorithms::{
-    algo_het_lat_with_scratch, algo_het_with_oracle, het_dp_applicable, het_dp_applicable_platform,
-    minimize_period_with_reliability_bound_with_scratch,
-    optimize_reliability_homogeneous_with_scratch, optimize_with_period_bound_scratch,
+    algo_alloc, algo_alloc_heterogeneous, algo_het, algo_het_lat, exact, het_dp_applicable,
+    het_dp_applicable_platform, heur_l_partition, heur_p_partition, minimize_period,
+    optimize_reliability,
 };
 use rpo_model::{IntervalOracle, IntervalPartition};
 
@@ -82,10 +78,11 @@ impl SolverBackend for Algo1Backend {
         _budget: &Budget,
         ctx: &mut SolveContext<'_>,
     ) -> Vec<CandidateMapping> {
-        optimize_reliability_homogeneous_with_scratch(
+        optimize_reliability(
             oracle,
             &instance.chain,
             &instance.platform,
+            None,
             ctx.scratch,
         )
         .map(|solution| {
@@ -124,11 +121,11 @@ impl SolverBackend for Algo2Backend {
         _budget: &Budget,
         ctx: &mut SolveContext<'_>,
     ) -> Vec<CandidateMapping> {
-        optimize_with_period_bound_scratch(
+        optimize_reliability(
             oracle,
             &instance.chain,
             &instance.platform,
-            instance.period_bound,
+            Some(instance.period_bound),
             ctx.scratch,
         )
         .map(|solution| {
@@ -166,7 +163,7 @@ impl SolverBackend for PeriodOptBackend {
         _budget: &Budget,
         ctx: &mut SolveContext<'_>,
     ) -> Vec<CandidateMapping> {
-        minimize_period_with_reliability_bound_with_scratch(
+        minimize_period(
             oracle,
             &instance.chain,
             &instance.platform,
@@ -196,7 +193,7 @@ impl HeuristicBackend {
     pub fn heur_l() -> Self {
         HeuristicBackend {
             name: "Heur-L",
-            partition: heur_l_partition_with_oracle,
+            partition: heur_l_partition,
         }
     }
 
@@ -204,7 +201,7 @@ impl HeuristicBackend {
     pub fn heur_p() -> Self {
         HeuristicBackend {
             name: "Heur-P",
-            partition: heur_p_partition_with_oracle,
+            partition: heur_p_partition,
         }
     }
 }
@@ -229,20 +226,19 @@ impl SolverBackend for HeuristicBackend {
         let platform = &instance.platform;
         let homogeneous = oracle.is_homogeneous();
         let constraints = AllocationConstraints::none();
-        let period_bound = instance.finite_period_bound();
 
         let mut candidates = Vec::new();
         for num_intervals in 1..=chain.len().min(platform.num_processors()) {
             let partition = (self.partition)(oracle, num_intervals);
             let mapping = if homogeneous {
-                algo_alloc_with_oracle(oracle, chain, platform, &partition)
+                algo_alloc(oracle, chain, platform, &partition)
             } else {
-                algo_alloc_heterogeneous_with_oracle(
+                algo_alloc_heterogeneous(
                     oracle,
                     chain,
                     platform,
                     &partition,
-                    period_bound,
+                    instance.period_bound,
                     &constraints,
                 )
             };
@@ -290,7 +286,7 @@ impl SolverBackend for HetDpBackend {
             .period_bound
             .is_finite()
             .then_some(instance.period_bound);
-        algo_het_with_oracle(oracle, &instance.chain, &instance.platform, period_bound)
+        algo_het(oracle, &instance.chain, &instance.platform, period_bound)
             .map(|solution| {
                 vec![CandidateMapping::evaluate_with_oracle(
                     self.name(),
@@ -341,7 +337,7 @@ impl SolverBackend for HetDpLatBackend {
             .period_bound
             .is_finite()
             .then_some(instance.period_bound);
-        algo_het_lat_with_scratch(
+        algo_het_lat(
             oracle,
             &instance.chain,
             &instance.platform,
@@ -442,9 +438,9 @@ impl SolverBackend for HetSweepBackend {
         for step in 0..=steps {
             let target = lower * ratio.powi(step as i32);
             for num_intervals in 1..=chain.len().min(platform.num_processors()) {
-                for partition_fn in [heur_l_partition_with_oracle, heur_p_partition_with_oracle] {
+                for partition_fn in [heur_l_partition, heur_p_partition] {
                     let partition = partition_fn(oracle, num_intervals);
-                    if let Ok(mapping) = algo_alloc_heterogeneous_with_oracle(
+                    if let Ok(mapping) = algo_alloc_heterogeneous(
                         oracle,
                         chain,
                         platform,
@@ -494,7 +490,7 @@ impl SolverBackend for IlpBackend {
         _budget: &Budget,
         _ctx: &mut SolveContext<'_>,
     ) -> Vec<CandidateMapping> {
-        exact::optimal_by_ilp_with_oracle(
+        exact::optimal_by_ilp(
             oracle,
             &instance.chain,
             &instance.platform,
@@ -540,7 +536,7 @@ impl SolverBackend for ExhaustiveBackend {
         _budget: &Budget,
         _ctx: &mut SolveContext<'_>,
     ) -> Vec<CandidateMapping> {
-        exact::optimal_homogeneous_with_oracle(
+        exact::optimal_homogeneous(
             oracle,
             &instance.chain,
             &instance.platform,

@@ -562,9 +562,11 @@ mod tests {
         }
         // The exhaustive backend ran, so the front's best reliability is the
         // certified optimum.
+        let instance = instance();
         let exact = rpo_algorithms::exact::optimal_homogeneous(
-            &instance().chain,
-            &instance().platform,
+            &instance.build_oracle(),
+            &instance.chain,
+            &instance.platform,
             70.0,
             130.0,
         )

@@ -4,8 +4,8 @@
 use std::time::Instant;
 
 use rpo_algorithms::{
-    algo_het_with_oracle, greedy_het_with_oracle, reliability_dp_with_scratch,
-    repair_reliability_dp_with_scratch, AlgoError, DpKernel, DpScratch, WarmPath,
+    algo_het, greedy_het, optimize_reliability, repair_reliability_dp, AlgoError, DpScratch,
+    WarmPath,
 };
 use rpo_model::{
     AppliedDelta, IntervalOracle, MappedInterval, Mapping, MappingEvaluation, ModelError, Platform,
@@ -75,28 +75,10 @@ impl RepairSession {
         platform: Platform,
         period_bound: Option<f64>,
     ) -> Result<Self, AlgoError> {
-        if let Some(bound) = period_bound {
-            if !(bound.is_finite() && bound > 0.0) {
-                return Err(AlgoError::InvalidBound("period bound"));
-            }
-        }
         let oracle = IntervalOracle::new(&chain, &platform);
         let mut scratch = DpScratch::new();
-        let (mapping, reliability) = if oracle.is_homogeneous() {
-            let solution = reliability_dp_with_scratch(
-                &oracle,
-                &chain,
-                &platform,
-                period_bound,
-                DpKernel::Chunked,
-                &mut scratch,
-            )
-            .ok_or(AlgoError::NoFeasibleMapping)?;
-            (solution.mapping, solution.reliability)
-        } else {
-            let solution = algo_het_with_oracle(&oracle, &chain, &platform, period_bound)?;
-            (solution.mapping, solution.reliability)
-        };
+        let (mapping, reliability) =
+            cold_solve(&oracle, &mut scratch, period_bound, &chain, &platform)?;
         Ok(RepairSession {
             chain,
             platform,
@@ -223,8 +205,7 @@ fn run_ladder(
                 }
                 // Heterogeneous: certify against the greedy baseline; a
                 // patch below greedy escalates to the full class solve.
-                let greedy =
-                    greedy_het_with_oracle(oracle, &applied.chain, &applied.platform, period_bound);
+                let greedy = greedy_het(oracle, &applied.chain, &applied.platform, period_bound);
                 match greedy {
                     Ok(ref baseline) if baseline.reliability > reliability => {}
                     _ => return Ok((patched, reliability, RepairTier::LocalPatch)),
@@ -322,7 +303,7 @@ fn warm_dp(
     period_bound: Option<f64>,
     applied: &AppliedDelta,
 ) -> Result<(Mapping, f64, RepairTier), AlgoError> {
-    let (solution, path) = repair_reliability_dp_with_scratch(
+    let (solution, path) = repair_reliability_dp(
         oracle,
         &applied.chain,
         &applied.platform,
@@ -345,29 +326,32 @@ fn full_solve(
     period_bound: Option<f64>,
     applied: &AppliedDelta,
 ) -> Result<(Mapping, f64, RepairTier), AlgoError> {
+    let (mapping, reliability) = cold_solve(
+        oracle,
+        scratch,
+        period_bound,
+        &applied.chain,
+        &applied.platform,
+    )?;
+    Ok((mapping, reliability, RepairTier::FullSolve))
+}
+
+/// A cold solve: the exact DP on a homogeneous platform (Algorithm 1, or
+/// Algorithm 2 under a period bound), which leaves its boundary grid in
+/// `scratch` for later warm repairs; the class DP (`algo_het`) otherwise.
+fn cold_solve(
+    oracle: &IntervalOracle,
+    scratch: &mut DpScratch,
+    period_bound: Option<f64>,
+    chain: &TaskChain,
+    platform: &Platform,
+) -> Result<(Mapping, f64), AlgoError> {
     if oracle.is_homogeneous() {
-        let solution = reliability_dp_with_scratch(
-            oracle,
-            &applied.chain,
-            &applied.platform,
-            period_bound,
-            DpKernel::Chunked,
-            scratch,
-        )
-        .ok_or(AlgoError::NoFeasibleMapping)?;
-        Ok((
-            solution.mapping,
-            solution.reliability,
-            RepairTier::FullSolve,
-        ))
+        let solution = optimize_reliability(oracle, chain, platform, period_bound, scratch)?;
+        Ok((solution.mapping, solution.reliability))
     } else {
-        let solution =
-            algo_het_with_oracle(oracle, &applied.chain, &applied.platform, period_bound)?;
-        Ok((
-            solution.mapping,
-            solution.reliability,
-            RepairTier::FullSolve,
-        ))
+        let solution = algo_het(oracle, chain, platform, period_bound)?;
+        Ok((solution.mapping, solution.reliability))
     }
 }
 
@@ -399,7 +383,8 @@ mod tests {
     }
 
     fn fresh_optimum(chain: &TaskChain, platform: &Platform) -> f64 {
-        rpo_algorithms::optimize_reliability_homogeneous(chain, platform)
+        let oracle = IntervalOracle::new(chain, platform);
+        optimize_reliability(&oracle, chain, platform, None, &mut DpScratch::new())
             .unwrap()
             .reliability
     }

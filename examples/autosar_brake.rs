@@ -13,7 +13,7 @@
 //! ```
 
 use pipelined_rt::algorithms::{run_heuristic, HeuristicConfig, IntervalHeuristic};
-use pipelined_rt::model::{MappingEvaluation, PlatformBuilder, TaskChain};
+use pipelined_rt::model::{IntervalOracle, MappingEvaluation, PlatformBuilder, TaskChain};
 use pipelined_rt::sim::{monte_carlo, MonteCarloConfig};
 
 fn main() {
@@ -56,6 +56,7 @@ fn main() {
         "requirements: period <= {period_bound}, latency <= {latency_bound}, failure probability <= {max_failure_probability:.0e}\n"
     );
 
+    let oracle = IntervalOracle::new(&chain, &platform);
     let mut accepted = None;
     for heuristic in [IntervalHeuristic::MinPeriod, IntervalHeuristic::MinLatency] {
         let config = HeuristicConfig {
@@ -63,7 +64,7 @@ fn main() {
             period_bound,
             latency_bound,
         };
-        let Ok(solution) = run_heuristic(&chain, &platform, &config) else {
+        let Ok(solution) = run_heuristic(&oracle, &chain, &platform, &config) else {
             println!(
                 "{}: no mapping meets the timing requirements",
                 heuristic.name()

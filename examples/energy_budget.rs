@@ -10,7 +10,7 @@ use pipelined_rt::algorithms::{
     run_energy_aware_heuristic, run_heuristic, EnergyAwareConfig, HeuristicConfig,
     IntervalHeuristic,
 };
-use pipelined_rt::model::{energy, Platform, PowerModel, TaskChain};
+use pipelined_rt::model::{energy, IntervalOracle, Platform, PowerModel, TaskChain};
 
 fn main() {
     // A radar processing chain on an embedded compute cluster.
@@ -23,6 +23,7 @@ fn main() {
     ])
     .expect("valid chain");
     let platform = Platform::homogeneous(9, 1.0, 5e-4, 1.0, 1e-4, 3).expect("valid platform");
+    let oracle = IntervalOracle::new(&chain, &platform);
 
     let base = HeuristicConfig {
         interval_heuristic: IntervalHeuristic::MinPeriod,
@@ -37,7 +38,8 @@ fn main() {
     };
 
     // Reference: the unbudgeted heuristic.
-    let unbudgeted = run_heuristic(&chain, &platform, &base).expect("feasible without a budget");
+    let unbudgeted =
+        run_heuristic(&oracle, &chain, &platform, &base).expect("feasible without a budget");
     let full_energy =
         energy::energy_per_dataset(&chain, &platform, &unbudgeted.mapping, &power_model);
     println!(
@@ -58,7 +60,7 @@ fn main() {
             power_model,
             energy_budget: budget,
         };
-        match run_energy_aware_heuristic(&chain, &platform, &config) {
+        match run_energy_aware_heuristic(&oracle, &chain, &platform, &config) {
             Ok(solution) => println!(
                 "{budget:>10.1} {:>12} {:>14.1} {:>16.2} {:>12.6} {:>12.3e}",
                 solution.mapping.processors_used(),

@@ -7,12 +7,13 @@
 //! ```
 
 use pipelined_rt::algorithms::{exact, run_heuristic, HeuristicConfig, IntervalHeuristic};
-use pipelined_rt::model::{Platform, TaskChain};
+use pipelined_rt::model::{IntervalOracle, Platform, TaskChain};
 use pipelined_rt::workload::{ChainSpec, HeterogeneousPlatformSpec, HomogeneousPlatformSpec};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 fn solve(chain: &TaskChain, platform: &Platform, period: f64, latency: f64) -> Vec<String> {
+    let oracle = IntervalOracle::new(chain, platform);
     let mut cells = Vec::new();
     for heuristic in [IntervalHeuristic::MinLatency, IntervalHeuristic::MinPeriod] {
         let config = HeuristicConfig {
@@ -20,7 +21,7 @@ fn solve(chain: &TaskChain, platform: &Platform, period: f64, latency: f64) -> V
             period_bound: period,
             latency_bound: latency,
         };
-        match run_heuristic(chain, platform, &config) {
+        match run_heuristic(&oracle, chain, platform, &config) {
             Ok(solution) => cells.push(format!(
                 "{:>12.3e}",
                 solution.evaluation.failure_probability()
@@ -85,7 +86,8 @@ fn main() {
 
     // On the homogeneous platform we can also certify the optimum.
     println!("\nexact optimum on the speed-5 homogeneous platform (P = 50, L = 150):");
-    match exact::optimal_homogeneous(&chain, &homogeneous_speed5, 50.0, 150.0) {
+    let oracle = IntervalOracle::new(&chain, &homogeneous_speed5);
+    match exact::optimal_homogeneous(&oracle, &chain, &homogeneous_speed5, 50.0, 150.0) {
         Ok(optimum) => println!(
             "  reliability {:.9}, {} intervals, {} processors used",
             optimum.reliability,

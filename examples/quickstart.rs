@@ -9,7 +9,7 @@
 use pipelined_rt::algorithms::{
     exact, run_heuristic, HeuristicConfig, HeuristicSolution, IntervalHeuristic,
 };
-use pipelined_rt::model::{MappingEvaluation, Platform, TaskChain};
+use pipelined_rt::model::{IntervalOracle, MappingEvaluation, Platform, TaskChain};
 
 fn describe(name: &str, chain: &TaskChain, platform: &Platform, solution: &HeuristicSolution) {
     let eval = MappingEvaluation::evaluate(chain, platform, &solution.mapping);
@@ -55,6 +55,7 @@ fn main() {
     // Ten identical processors (speed 1, failure rate 1e-6 per time unit),
     // unit-bandwidth links with failure rate 1e-5, at most 3 replicas.
     let platform = Platform::homogeneous(10, 1.0, 1e-6, 1.0, 1e-5, 3).expect("valid platform");
+    let oracle = IntervalOracle::new(&chain, &platform);
 
     // Real-time requirements.
     let period_bound = 120.0;
@@ -71,7 +72,7 @@ fn main() {
             period_bound,
             latency_bound,
         };
-        match run_heuristic(&chain, &platform, &config) {
+        match run_heuristic(&oracle, &chain, &platform, &config) {
             Ok(solution) => describe(heuristic.name(), &chain, &platform, &solution),
             Err(error) => println!("{}: no feasible mapping ({error})", heuristic.name()),
         }
@@ -79,7 +80,7 @@ fn main() {
     }
 
     // The exact optimum (exhaustive over partitions + Algo-Alloc), for reference.
-    match exact::optimal_homogeneous(&chain, &platform, period_bound, latency_bound) {
+    match exact::optimal_homogeneous(&oracle, &chain, &platform, period_bound, latency_bound) {
         Ok(optimum) => {
             println!(
                 "exact optimum: reliability {:.9} (failure probability {:.3e}) with {} intervals",

@@ -15,7 +15,7 @@ use pipelined_rt::algorithms::{
     algo_alloc, heur_l_partition, heur_p_partition, run_heuristic, HeuristicConfig,
     IntervalHeuristic,
 };
-use pipelined_rt::model::{MappingEvaluation, Platform, TaskChain};
+use pipelined_rt::model::{IntervalOracle, MappingEvaluation, Platform, TaskChain};
 
 fn main() {
     // Frame processing chain: (work, output size) per frame.
@@ -32,6 +32,7 @@ fn main() {
 
     // Eight identical worker nodes in a rack, gigabit links.
     let platform = Platform::homogeneous(8, 1.0, 5e-7, 2.0, 1e-6, 3).expect("valid platform");
+    let oracle = IntervalOracle::new(&chain, &platform);
 
     // 30 fps camera -> period bound; 0.5 s end-to-end budget -> latency bound
     // (one time unit = 1 ms of compute on a reference core).
@@ -53,8 +54,9 @@ fn main() {
     );
     for m in 1..=chain.len().min(platform.num_processors()) {
         let mut cells = Vec::new();
-        for partition in [heur_p_partition(&chain, m), heur_l_partition(&chain, m)] {
-            let mapping = algo_alloc(&chain, &platform, &partition).expect("enough processors");
+        for partition in [heur_p_partition(&oracle, m), heur_l_partition(&oracle, m)] {
+            let mapping =
+                algo_alloc(&oracle, &chain, &platform, &partition).expect("enough processors");
             let eval = MappingEvaluation::evaluate(&chain, &platform, &mapping);
             cells.push(format!(
                 "{:>10.1} / {:>10.1}",
@@ -72,7 +74,7 @@ fn main() {
             period_bound,
             latency_bound,
         };
-        match run_heuristic(&chain, &platform, &config) {
+        match run_heuristic(&oracle, &chain, &platform, &config) {
             Ok(solution) => println!(
                 "{}: picked {} intervals -> period {:.1}, latency {:.1}, failure probability {:.3e}",
                 heuristic.name(),

@@ -31,7 +31,7 @@
 //! ## Quick start
 //!
 //! ```
-//! use pipelined_rt::model::{MappingEvaluation, Platform, TaskChain};
+//! use pipelined_rt::model::{IntervalOracle, MappingEvaluation, Platform, TaskChain};
 //! use pipelined_rt::algorithms::{run_heuristic, HeuristicConfig, IntervalHeuristic};
 //!
 //! // A five-task chain: (work, output data size) pairs.
@@ -46,8 +46,12 @@
 //! // Six identical processors, K = 3 replicas allowed per interval.
 //! let platform = Platform::homogeneous(6, 1.0, 1e-6, 1.0, 1e-5, 3).unwrap();
 //!
+//! // Every solver reads its interval metrics from one shared oracle.
+//! let oracle = IntervalOracle::new(&chain, &platform);
+//!
 //! // Find the most reliable mapping with period <= 70 and latency <= 200.
 //! let solution = run_heuristic(
+//!     &oracle,
 //!     &chain,
 //!     &platform,
 //!     &HeuristicConfig {
@@ -66,15 +70,18 @@
 //! ## Exact solving on homogeneous platforms
 //!
 //! ```
-//! use pipelined_rt::model::{Platform, TaskChain};
-//! use pipelined_rt::algorithms::{exact, optimize_reliability_homogeneous};
+//! use pipelined_rt::model::{IntervalOracle, Platform, TaskChain};
+//! use pipelined_rt::algorithms::{exact, optimize_reliability, DpScratch};
 //!
 //! let chain = TaskChain::from_pairs(&[(30.0, 2.0), (10.0, 8.0), (25.0, 1.0)]).unwrap();
 //! let platform = Platform::homogeneous(4, 1.0, 1e-4, 1.0, 1e-5, 2).unwrap();
+//! let oracle = IntervalOracle::new(&chain, &platform);
 //!
-//! // Algorithm 1 (dynamic programming) and the exhaustive solver agree.
-//! let dp = optimize_reliability_homogeneous(&chain, &platform).unwrap();
-//! let exact = exact::optimal_homogeneous(&chain, &platform, f64::INFINITY, f64::INFINITY).unwrap();
+//! // Algorithm 1 (dynamic programming; `Some(bound)` would run Algorithm 2)
+//! // and the exhaustive solver agree.
+//! let dp = optimize_reliability(&oracle, &chain, &platform, None, &mut DpScratch::new()).unwrap();
+//! let exact = exact::optimal_homogeneous(&oracle, &chain, &platform, f64::INFINITY, f64::INFINITY)
+//!     .unwrap();
 //! assert!((dp.reliability - exact.reliability).abs() < 1e-12);
 //! ```
 

@@ -8,6 +8,7 @@
 //! | `algo_het_lat` vs `greedy_het_lat` | never less reliable, same-or-better feasibility | paper-scale 3-class, latency-bounded |
 //! | `algo2` vs `ILP` | identical reliability and feasibility | small homogeneous, period-bounded |
 //! | analytic Eq. 9 vs Monte-Carlo (`rpo-sim`) | within 3σ of the binomial estimate | every returned mapping |
+//! | every default backend on one shared `DpScratch` (in order and reversed) vs a fresh scratch each | identical mappings, bit-identical reliabilities | homogeneous and class-structured, bounded and unbounded |
 //!
 //! Reuses the ChaCha8 harness style of `tests/properties.rs`: each case is
 //! generated from its own seed, and a failing case re-panics with the seed
@@ -15,15 +16,17 @@
 //! seed lands in the log).
 
 use pipelined_rt::algorithms::{
-    algo_het_lat_with_oracle, algo_het_with_oracle, exact, exhaustive_het_lat,
-    greedy_het_lat_with_oracle, het_dp_applicable, optimize_reliability_with_period_bound,
-    run_heuristic, AlgoError, DpScratch, HetLatMethod, HeuristicConfig, IntervalHeuristic,
+    algo_het, algo_het_lat, exact, exhaustive_het_lat, greedy_het_lat, het_dp_applicable,
+    optimize_reliability, run_heuristic, AlgoError, DpScratch, HetLatMethod, HetLatSolution,
+    HeuristicConfig, IntervalHeuristic, OptimalMapping, Result,
 };
 use pipelined_rt::model::{
     IntervalOracle, Mapping, MappingEvaluation, Platform, PlatformBuilder, Processor, TaskChain,
 };
-use pipelined_rt::portfolio::SolverBackend;
-use pipelined_rt::portfolio::{backends::HetDpLatBackend, Budget, ProblemInstance, SolveContext};
+use pipelined_rt::portfolio::{
+    backends::HetDpLatBackend, default_backends, Budget, CandidateMapping, ProblemInstance,
+    SolveContext, SolverBackend,
+};
 use pipelined_rt::sim::{monte_carlo, MonteCarloConfig};
 use pipelined_rt::workload::InstanceGenerator;
 use rand::{Rng, SeedableRng};
@@ -82,6 +85,37 @@ fn random_class_platform(rng: &mut ChaCha8Rng, max_processors: usize) -> Platfor
     .unwrap()
 }
 
+/// [`algo_het_lat`] against `oracle` with a fresh scratch.
+fn het_lat(
+    oracle: &IntervalOracle,
+    chain: &TaskChain,
+    platform: &Platform,
+    period_bound: Option<f64>,
+    latency_bound: f64,
+) -> Result<HetLatSolution> {
+    let mut scratch = DpScratch::new();
+    algo_het_lat(
+        oracle,
+        chain,
+        platform,
+        period_bound,
+        latency_bound,
+        &mut scratch,
+    )
+}
+
+/// Algorithm 2 on a fresh oracle and scratch.
+fn algo2(chain: &TaskChain, platform: &Platform, period_bound: f64) -> Result<OptimalMapping> {
+    let oracle = IntervalOracle::new(chain, platform);
+    optimize_reliability(
+        &oracle,
+        chain,
+        platform,
+        Some(period_bound),
+        &mut DpScratch::new(),
+    )
+}
+
 #[test]
 fn algo_het_lat_matches_exhaustive_on_small_latency_bounded_instances() {
     for_random_cases("algo_het_lat == exhaustive_het_lat", 0xD1FF_0000, |rng| {
@@ -97,7 +131,7 @@ fn algo_het_lat_matches_exhaustive_on_small_latency_bounded_instances() {
         // Latency slacks spanning infeasible (below the floor), tight, and
         // loose regimes.
         let latency = rng.gen_range(0.9..2.5) * oracle.latency_floor();
-        let dp = algo_het_lat_with_oracle(&oracle, &chain, &platform, period, latency);
+        let dp = het_lat(&oracle, &chain, &platform, period, latency);
         let brute = exhaustive_het_lat(&chain, &platform, period, latency);
         match (dp, brute) {
             (Ok(dp), Ok(brute)) => {
@@ -139,14 +173,14 @@ fn algo_het_lat_never_trails_greedy_on_paper_scale_instances() {
         let chain = &bounded.instance.chain;
         let platform = &bounded.instance.heterogeneous;
         let oracle = IntervalOracle::new(chain, platform);
-        let dp = algo_het_lat_with_oracle(
+        let dp = het_lat(
             &oracle,
             chain,
             platform,
             Some(bounded.period_bound),
             bounded.latency_bound,
         );
-        let greedy = greedy_het_lat_with_oracle(
+        let greedy = greedy_het_lat(
             &oracle,
             chain,
             platform,
@@ -211,8 +245,9 @@ fn algo2_matches_the_ilp_on_small_homogeneous_instances() {
         )
         .unwrap();
         let bound = rng.gen_range(0.4..1.5) * chain.total_work() / platform.speed(0);
-        let algo2 = optimize_reliability_with_period_bound(&chain, &platform, bound);
-        let ilp = exact::optimal_by_ilp(&chain, &platform, bound, f64::INFINITY);
+        let algo2 = algo2(&chain, &platform, bound);
+        let oracle = IntervalOracle::new(&chain, &platform);
+        let ilp = exact::optimal_by_ilp(&oracle, &chain, &platform, bound, f64::INFINITY);
         match (algo2, ilp) {
             (Ok(algo2), Ok(ilp)) => assert!(
                 (algo2.reliability - ilp.reliability).abs()
@@ -291,16 +326,13 @@ fn monte_carlo_agrees_with_eq9_for_every_returned_mapping() {
             let floor = oracle.latency_floor();
 
             let mut mappings: Vec<(&'static str, Mapping)> = Vec::new();
-            if let Ok(sol) = algo_het_with_oracle(&oracle, &chain, &platform, None) {
+            if let Ok(sol) = algo_het(&oracle, &chain, &platform, None) {
                 mappings.push(("algo_het", sol.mapping));
             }
-            if let Ok(sol) = algo_het_lat_with_oracle(&oracle, &chain, &platform, None, 1.5 * floor)
-            {
+            if let Ok(sol) = het_lat(&oracle, &chain, &platform, None, 1.5 * floor) {
                 mappings.push(("algo_het_lat", sol.mapping));
             }
-            if let Ok(sol) =
-                greedy_het_lat_with_oracle(&oracle, &chain, &platform, None, 2.0 * floor)
-            {
+            if let Ok(sol) = greedy_het_lat(&oracle, &chain, &platform, None, 2.0 * floor) {
                 mappings.push(("greedy_het_lat", sol.mapping));
             }
             assert!(
@@ -315,7 +347,7 @@ fn monte_carlo_agrees_with_eq9_for_every_returned_mapping() {
             // the homogeneous stack.
             let hom = Platform::homogeneous(4, 1.5, 5e-3, 1.0, 1e-4, 2).unwrap();
             let bound = rng.gen_range(0.5..1.2) * chain.total_work() / 1.5;
-            if let Ok(sol) = optimize_reliability_with_period_bound(&chain, &hom, bound) {
+            if let Ok(sol) = algo2(&chain, &hom, bound) {
                 assert_monte_carlo_within_3_sigma("algo2", &chain, &hom, &sol.mapping, seed ^ 0x5A);
             }
         });
@@ -363,13 +395,14 @@ fn latency_bound_below_the_floor_is_cleanly_infeasible_everywhere() {
 
     // algo_het_lat: clean error, no panic.
     assert_eq!(
-        algo_het_lat_with_oracle(&oracle, &chain, &platform, None, below).unwrap_err(),
+        het_lat(&oracle, &chain, &platform, None, below).unwrap_err(),
         AlgoError::NoFeasibleMapping
     );
     // The Section 7 heuristics: clean error, no panic.
     for heuristic in [IntervalHeuristic::MinLatency, IntervalHeuristic::MinPeriod] {
         assert_eq!(
             run_heuristic(
+                &oracle,
                 &chain,
                 &platform,
                 &HeuristicConfig {
@@ -394,7 +427,7 @@ fn latency_bound_exactly_at_the_floor_is_feasible() {
     let oracle = IntervalOracle::new(&chain, &platform);
     let floor = oracle.latency_floor();
 
-    let sol = algo_het_lat_with_oracle(&oracle, &chain, &platform, None, floor).unwrap();
+    let sol = het_lat(&oracle, &chain, &platform, None, floor).unwrap();
     assert_eq!(sol.worst_case_latency, floor);
 
     let instance =
@@ -410,11 +443,11 @@ fn invalid_latency_bounds_are_rejected_across_the_stack() {
     let oracle = IntervalOracle::new(&chain, &platform);
     for bad in [0.0, -3.0, f64::NAN] {
         assert_eq!(
-            algo_het_lat_with_oracle(&oracle, &chain, &platform, None, bad).unwrap_err(),
+            het_lat(&oracle, &chain, &platform, None, bad).unwrap_err(),
             AlgoError::InvalidBound("latency bound")
         );
         assert_eq!(
-            greedy_het_lat_with_oracle(&oracle, &chain, &platform, None, bad).unwrap_err(),
+            greedy_het_lat(&oracle, &chain, &platform, None, bad).unwrap_err(),
             AlgoError::InvalidBound("latency bound")
         );
         assert_eq!(
@@ -423,6 +456,7 @@ fn invalid_latency_bounds_are_rejected_across_the_stack() {
         );
         assert_eq!(
             run_heuristic(
+                &oracle,
                 &chain,
                 &platform,
                 &HeuristicConfig {
@@ -440,7 +474,97 @@ fn invalid_latency_bounds_are_rejected_across_the_stack() {
     // An infinite latency bound is "no bound" for the portfolio (the
     // backend skips), but algo_het_lat demands a real one.
     assert_eq!(
-        algo_het_lat_with_oracle(&oracle, &chain, &platform, None, f64::INFINITY).unwrap_err(),
+        het_lat(&oracle, &chain, &platform, None, f64::INFINITY).unwrap_err(),
         AlgoError::InvalidBound("latency bound")
     );
+}
+
+#[test]
+fn one_scratch_shared_across_every_backend_matches_a_fresh_scratch_per_backend() {
+    // The engine lends each worker one pooled scratch and runs every
+    // backend on it without a reset in between, so a backend may inherit
+    // another's warm-start data (Period-Opt after Algo-2, Het-Dp-Lat's
+    // label arenas). None of it may change an answer.
+    let backends = default_backends();
+    let budget = Budget::default();
+    for_random_cases("shared scratch == fresh scratch", 0xD1FF_4000, |rng| {
+        let chain = random_chain(rng, 10);
+        let platform = if rng.gen_bool(0.5) {
+            Platform::homogeneous(
+                rng.gen_range(2usize..=8),
+                rng.gen_range(1.0..4.0),
+                10f64.powf(rng.gen_range(-5.0..-3.0)),
+                rng.gen_range(0.5..2.0),
+                10f64.powf(rng.gen_range(-6.0..-4.0)),
+                rng.gen_range(2usize..=3),
+            )
+            .unwrap()
+        } else {
+            random_class_platform(rng, 8)
+        };
+        let period = if rng.gen_bool(0.5) {
+            f64::INFINITY
+        } else {
+            rng.gen_range(0.4..1.5) * chain.total_work() / platform.max_speed()
+        };
+        let latency = if rng.gen_bool(0.5) {
+            f64::INFINITY
+        } else {
+            let floor = IntervalOracle::new(&chain, &platform).latency_floor();
+            rng.gen_range(1.0..3.0) * floor
+        };
+        let instance = ProblemInstance::new(chain, platform, period, latency).unwrap();
+        let oracle = instance.build_oracle();
+        let applicable: Vec<&dyn SolverBackend> = backends
+            .iter()
+            .map(|backend| backend.as_ref())
+            .filter(|backend| backend.applicability(&instance, &budget).is_applicable())
+            .collect();
+        let run = |backend: &dyn SolverBackend, scratch: &mut DpScratch| {
+            let mut ctx = SolveContext {
+                scratch,
+                front: None,
+            };
+            backend.solve(&instance, &oracle, &budget, &mut ctx)
+        };
+        let fresh: Vec<Vec<CandidateMapping>> = applicable
+            .iter()
+            .map(|backend| run(*backend, &mut DpScratch::new()))
+            .collect();
+        let mut shared = DpScratch::new();
+        let in_order: Vec<Vec<CandidateMapping>> = applicable
+            .iter()
+            .map(|backend| run(*backend, &mut shared))
+            .collect();
+        let mut shared = DpScratch::new();
+        let mut reversed: Vec<Vec<CandidateMapping>> = applicable
+            .iter()
+            .rev()
+            .map(|backend| run(*backend, &mut shared))
+            .collect();
+        reversed.reverse();
+        for (index, backend) in applicable.iter().enumerate() {
+            for (order, candidates) in [
+                ("in order", &in_order[index]),
+                ("reversed", &reversed[index]),
+            ] {
+                let expected = &fresh[index];
+                assert_eq!(
+                    candidates.len(),
+                    expected.len(),
+                    "{} ({order}): candidate count",
+                    backend.name()
+                );
+                for (got, want) in candidates.iter().zip(expected) {
+                    assert_eq!(got.mapping, want.mapping, "{} ({order})", backend.name());
+                    assert_eq!(
+                        got.evaluation.reliability.to_bits(),
+                        want.evaluation.reliability.to_bits(),
+                        "{} ({order})",
+                        backend.name()
+                    );
+                }
+            }
+        }
+    });
 }

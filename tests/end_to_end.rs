@@ -3,10 +3,9 @@
 //! results stay mutually consistent.
 
 use pipelined_rt::algorithms::{
-    exact, optimize_reliability_homogeneous, optimize_reliability_with_period_bound, run_heuristic,
-    HeuristicConfig, IntervalHeuristic,
+    exact, optimize_reliability, run_heuristic, DpScratch, HeuristicConfig, IntervalHeuristic,
 };
-use pipelined_rt::model::{MappingEvaluation, Platform, TaskChain};
+use pipelined_rt::model::{IntervalOracle, MappingEvaluation, Platform, TaskChain};
 use pipelined_rt::rbd::{exact as rbd_exact, mapping_rbd};
 use pipelined_rt::sim::{monte_carlo, simulate_pipeline, MonteCarloConfig, PipelineConfig};
 use pipelined_rt::workload::{ChainSpec, HeterogeneousPlatformSpec, InstanceGenerator};
@@ -27,11 +26,14 @@ fn small_instance(seed: u64) -> (TaskChain, Platform) {
 fn generated_instances_flow_through_the_whole_stack() {
     for seed in 0..5 {
         let (chain, platform) = small_instance(seed);
+        let oracle = IntervalOracle::new(&chain, &platform);
 
         // Exact optimum without bounds == Algorithm 1.
-        let dp = optimize_reliability_homogeneous(&chain, &platform).unwrap();
+        let dp =
+            optimize_reliability(&oracle, &chain, &platform, None, &mut DpScratch::new()).unwrap();
         let exhaustive =
-            exact::optimal_homogeneous(&chain, &platform, f64::INFINITY, f64::INFINITY).unwrap();
+            exact::optimal_homogeneous(&oracle, &chain, &platform, f64::INFINITY, f64::INFINITY)
+                .unwrap();
         assert!(
             (dp.reliability - exhaustive.reliability).abs() < 1e-12,
             "seed {seed}"
@@ -59,15 +61,17 @@ fn heuristics_are_feasible_and_dominated_by_the_optimum() {
         let (chain, platform) = small_instance(seed);
         let period_bound = chain.max_task_work() * 1.5;
         let latency_bound = chain.total_work() * 1.2;
+        let oracle = IntervalOracle::new(&chain, &platform);
 
-        let optimum = exact::optimal_homogeneous(&chain, &platform, period_bound, latency_bound);
+        let optimum =
+            exact::optimal_homogeneous(&oracle, &chain, &platform, period_bound, latency_bound);
         for heuristic in [IntervalHeuristic::MinLatency, IntervalHeuristic::MinPeriod] {
             let config = HeuristicConfig {
                 interval_heuristic: heuristic,
                 period_bound,
                 latency_bound,
             };
-            if let Ok(solution) = run_heuristic(&chain, &platform, &config) {
+            if let Ok(solution) = run_heuristic(&oracle, &chain, &platform, &config) {
                 assert!(solution.evaluation.meets(period_bound, latency_bound));
                 let optimum = optimum
                     .as_ref()
@@ -85,14 +89,17 @@ fn heuristics_are_feasible_and_dominated_by_the_optimum() {
 #[test]
 fn period_constrained_dp_agrees_with_profile_sweep() {
     let (chain, platform) = small_instance(11);
-    let profiles = exact::ProfileSet::build(&chain, &platform).unwrap();
+    let oracle = IntervalOracle::new(&chain, &platform);
+    let profiles = exact::ProfileSet::build(&oracle, &platform).unwrap();
     for period in [
         chain.max_task_work(),
         chain.max_task_work() * 1.3,
         chain.total_work() / 2.0,
         chain.total_work(),
     ] {
-        let dp = optimize_reliability_with_period_bound(&chain, &platform, period).unwrap();
+        let mut scratch = DpScratch::new();
+        let dp =
+            optimize_reliability(&oracle, &chain, &platform, Some(period), &mut scratch).unwrap();
         let profile = profiles
             .best_reliability_under(period, f64::INFINITY)
             .unwrap();
@@ -110,7 +117,9 @@ fn simulator_confirms_the_analytic_reliability_of_an_optimized_mapping() {
     let chain = ChainSpec::paper_with_tasks(6).generate(&mut rng);
     // Failure rates large enough to measure with 100k samples.
     let platform = Platform::homogeneous(6, 1.0, 2e-4, 1.0, 1e-4, 3).unwrap();
-    let solution = optimize_reliability_homogeneous(&chain, &platform).unwrap();
+    let oracle = IntervalOracle::new(&chain, &platform);
+    let solution =
+        optimize_reliability(&oracle, &chain, &platform, None, &mut DpScratch::new()).unwrap();
     let analytic = MappingEvaluation::evaluate(&chain, &platform, &solution.mapping);
 
     let estimate = monte_carlo(
@@ -162,7 +171,9 @@ fn heterogeneous_instances_are_solved_and_respect_bounds() {
             period_bound: 60.0,
             latency_bound: 200.0,
         };
-        if let Ok(solution) = run_heuristic(&instance.chain, &instance.heterogeneous, &config) {
+        let (chain, platform) = (&instance.chain, &instance.heterogeneous);
+        let oracle = IntervalOracle::new(chain, platform);
+        if let Ok(solution) = run_heuristic(&oracle, chain, platform, &config) {
             assert!(solution.evaluation.meets(60.0, 200.0));
             solved += 1;
         }
@@ -188,7 +199,9 @@ fn ilp_solver_reproduces_the_exhaustive_optimum_on_a_generated_instance() {
     let platform = Platform::homogeneous(4, 1.0, 1e-4, 1.0, 1e-4, 2).unwrap();
     let period = chain.max_task_work() * 2.0;
     let latency = chain.total_work() * 1.1;
-    let ilp = exact::optimal_by_ilp(&chain, &platform, period, latency).unwrap();
-    let exhaustive = exact::optimal_homogeneous(&chain, &platform, period, latency).unwrap();
+    let oracle = IntervalOracle::new(&chain, &platform);
+    let ilp = exact::optimal_by_ilp(&oracle, &chain, &platform, period, latency).unwrap();
+    let exhaustive =
+        exact::optimal_homogeneous(&oracle, &chain, &platform, period, latency).unwrap();
     assert!((ilp.reliability - exhaustive.reliability).abs() < 1e-9);
 }

@@ -6,7 +6,7 @@ use pipelined_rt::algorithms::{
     run_energy_aware_heuristic, run_heuristic, EnergyAwareConfig, HeuristicConfig,
     IntervalHeuristic,
 };
-use pipelined_rt::model::{energy, Platform, PowerModel};
+use pipelined_rt::model::{energy, IntervalOracle, Platform, PowerModel};
 use pipelined_rt::rbd::{approx, exact as rbd_exact, mapping_rbd};
 use pipelined_rt::workload::ChainSpec;
 use rand::SeedableRng;
@@ -39,8 +39,9 @@ fn energy_budget_trades_reliability_for_power_on_generated_instances() {
         let platform = Platform::homogeneous(8, 1.0, 1e-4, 1.0, 1e-5, 3).unwrap();
         let model = PowerModel::cubic();
         let config = relative_config(&chain);
+        let oracle = IntervalOracle::new(&chain, &platform);
 
-        let unbudgeted = run_heuristic(&chain, &platform, &config).unwrap();
+        let unbudgeted = run_heuristic(&oracle, &chain, &platform, &config).unwrap();
         let full = energy::energy_per_dataset(&chain, &platform, &unbudgeted.mapping, &model);
 
         // The cheapest possible mapping keeps one unit-speed replica per
@@ -52,6 +53,7 @@ fn energy_budget_trades_reliability_for_power_on_generated_instances() {
         let mut previous_energy = 0.0;
         for budget in budgets {
             let solution = run_energy_aware_heuristic(
+                &oracle,
                 &chain,
                 &platform,
                 &EnergyAwareConfig {
@@ -74,6 +76,7 @@ fn energy_budget_trades_reliability_for_power_on_generated_instances() {
         }
         // The full-budget solution recovers the unbudgeted mapping.
         let full_budget = run_energy_aware_heuristic(
+            &oracle,
             &chain,
             &platform,
             &EnergyAwareConfig {
@@ -95,7 +98,8 @@ fn general_rbd_bounds_and_monte_carlo_bracket_the_routing_model() {
     let mut rng = ChaCha8Rng::seed_from_u64(11);
     let chain = ChainSpec::paper_with_tasks(6).generate(&mut rng);
     let platform = Platform::homogeneous(6, 1.0, 5e-4, 1.0, 2e-4, 2).unwrap();
-    let solution = run_heuristic(&chain, &platform, &base_config()).unwrap();
+    let oracle = IntervalOracle::new(&chain, &platform);
+    let solution = run_heuristic(&oracle, &chain, &platform, &base_config()).unwrap();
 
     let direct = mapping_rbd::general_rbd(&chain, &platform, &solution.mapping);
     assert!(

@@ -9,8 +9,8 @@
 //! that reproduces it.
 
 use pipelined_rt::algorithms::{
-    algo_het, algo_het_with_oracle, class_dp_with_kernel, exhaustive_het, greedy_het_with_oracle,
-    het_dp_applicable, DpKernel, HetMethod,
+    algo_het, class_dp_with_kernel, exhaustive_het, greedy_het, het_dp_applicable, DpKernel,
+    HetMethod,
 };
 use pipelined_rt::model::{
     ClassAssignment, IntervalOracle, IntervalPartition, MappingEvaluation, Platform, Processor,
@@ -93,7 +93,7 @@ fn algo_het_matches_the_exhaustive_reference_on_small_instances() {
         } else {
             Some(period_bound(rng, &chain, &platform))
         };
-        let dp = algo_het_with_oracle(&oracle, &chain, &platform, bound);
+        let dp = algo_het(&oracle, &chain, &platform, bound);
         let brute = exhaustive_het(&chain, &platform, bound);
         match (dp, brute) {
             (Ok(dp), Ok(brute)) => {
@@ -127,8 +127,8 @@ fn algo_het_is_never_below_greedy_and_respects_the_bound() {
         let oracle = IntervalOracle::new(chain, platform);
         let mut rng = ChaCha8Rng::seed_from_u64(0x0C1A_5600 + index as u64);
         let bound = period_bound(&mut rng, chain, platform);
-        let greedy = greedy_het_with_oracle(&oracle, chain, platform, Some(bound));
-        let dp = algo_het_with_oracle(&oracle, chain, platform, Some(bound));
+        let greedy = greedy_het(&oracle, chain, platform, Some(bound));
+        let dp = algo_het(&oracle, chain, platform, Some(bound));
         match (&dp, &greedy) {
             (Ok(dp), Ok(greedy)) => {
                 assert!(
@@ -166,8 +166,13 @@ fn the_exact_dp_wins_strictly_on_some_instances() {
     for instance in generator.batch(30) {
         let oracle = IntervalOracle::new(&instance.chain, &instance.heterogeneous);
         let bound = 0.7 * instance.chain.total_work() / instance.heterogeneous.max_speed();
-        let dp = algo_het(&instance.chain, &instance.heterogeneous, Some(bound));
-        let greedy = greedy_het_with_oracle(
+        let dp = algo_het(
+            &oracle,
+            &instance.chain,
+            &instance.heterogeneous,
+            Some(bound),
+        );
+        let greedy = greedy_het(
             &oracle,
             &instance.chain,
             &instance.heterogeneous,
@@ -214,7 +219,7 @@ fn chunked_class_dp_matches_the_scalar_kernel_mapping_for_mapping() {
         } else {
             Some(period_bound(rng, &chain, &platform))
         };
-        let greedy_incumbent = greedy_het_with_oracle(&oracle, &chain, &platform, bound)
+        let greedy_incumbent = greedy_het(&oracle, &chain, &platform, bound)
             .map(|g| g.reliability)
             .unwrap_or(0.0);
         for incumbent in [0.0, greedy_incumbent] {
@@ -270,10 +275,9 @@ fn chunked_class_dp_matches_the_scalar_kernel_mapping_for_mapping() {
             &instance.chain,
             &instance.heterogeneous,
         ));
-        let incumbent =
-            greedy_het_with_oracle(&oracle, &instance.chain, &instance.heterogeneous, bound)
-                .map(|g| g.reliability)
-                .unwrap_or(0.0);
+        let incumbent = greedy_het(&oracle, &instance.chain, &instance.heterogeneous, bound)
+            .map(|g| g.reliability)
+            .unwrap_or(0.0);
         let run = |kernel| {
             class_dp_with_kernel(
                 &oracle,

@@ -216,7 +216,7 @@ fn het_lat_label_arenas_are_pooled_through_the_scratch() {
     let before = obs::global().snapshot();
     let mut scratch = pipelined_rt::algorithms::DpScratch::new();
     for _ in 0..3 {
-        let solution = pipelined_rt::algorithms::algo_het_lat_with_scratch(
+        let solution = pipelined_rt::algorithms::algo_het_lat(
             &oracle,
             &chain,
             &platform,

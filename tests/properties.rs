@@ -7,13 +7,13 @@
 //! and failures report the case's seed for reproduction.
 
 use pipelined_rt::algorithms::{
-    algo_alloc, exhaustive_alloc, heur_l_partition, heur_p_partition,
-    optimize_reliability_homogeneous, optimize_reliability_with_period_bound,
+    algo_alloc, exhaustive_alloc, heur_l_partition, heur_p_partition, optimize_reliability,
+    DpScratch,
 };
 use pipelined_rt::lp::{solve_lp, ConstraintOp, LpStatus, Objective, Problem};
 use pipelined_rt::model::{
-    reliability, timing, Interval, IntervalPartition, MappedInterval, Mapping, MappingEvaluation,
-    Platform, TaskChain,
+    reliability, timing, Interval, IntervalOracle, IntervalPartition, MappedInterval, Mapping,
+    MappingEvaluation, Platform, TaskChain,
 };
 use pipelined_rt::rbd::mapping_rbd;
 use rand::{Rng, SeedableRng};
@@ -183,7 +183,8 @@ fn algo_alloc_is_optimal() {
             return;
         }
 
-        let greedy = algo_alloc(&chain, &platform, &partition).expect("enough processors");
+        let oracle = IntervalOracle::new(&chain, &platform);
+        let greedy = algo_alloc(&oracle, &chain, &platform, &partition).expect("enough processors");
         let best = exhaustive_alloc(&chain, &platform, &partition).expect("enough processors");
         let rg = reliability::mapping_reliability(&chain, &platform, &greedy);
         let rb = reliability::mapping_reliability(&chain, &platform, &best);
@@ -198,13 +199,16 @@ fn algorithm2_consistency() {
     for_random_cases("algorithm2_consistency", |rng| {
         let chain = random_chain(rng);
         let platform = random_hom_platform(rng);
-        let unconstrained = optimize_reliability_homogeneous(&chain, &platform).unwrap();
-        let loose = optimize_reliability_with_period_bound(&chain, &platform, 1e12).unwrap();
+        let oracle = IntervalOracle::new(&chain, &platform);
+        let solve =
+            |bound| optimize_reliability(&oracle, &chain, &platform, bound, &mut DpScratch::new());
+        let unconstrained = solve(None).unwrap();
+        let loose = solve(Some(1e12)).unwrap();
         assert!((unconstrained.reliability - loose.reliability).abs() < 1e-12);
 
         let tight_bound = chain.max_task_work() / platform.speed(0)
             + chain.max_boundary_output() / platform.bandwidth();
-        if let Ok(tight) = optimize_reliability_with_period_bound(&chain, &platform, tight_bound) {
+        if let Ok(tight) = solve(Some(tight_bound)) {
             assert!(tight.reliability <= loose.reliability + 1e-12);
             let eval = MappingEvaluation::evaluate(&chain, &platform, &tight.mapping);
             assert!(eval.worst_case_period <= tight_bound + 1e-9);
@@ -221,8 +225,11 @@ fn interval_heuristics_produce_valid_partitions() {
         let chain = random_chain(rng);
         let n = chain.len();
         let m = rng.gen_range(1usize..=n);
-        let heur_l = heur_l_partition(&chain, m);
-        let heur_p = heur_p_partition(&chain, m);
+        // The platform does not affect the partitions.
+        let platform = Platform::homogeneous(1, 1.0, 1e-3, 1.0, 1e-4, 1).unwrap();
+        let oracle = IntervalOracle::new(&chain, &platform);
+        let heur_l = heur_l_partition(&oracle, m);
+        let heur_p = heur_p_partition(&oracle, m);
         assert_eq!(heur_l.len(), m);
         assert_eq!(heur_p.len(), m);
         assert_eq!(heur_l.chain_len(), n);

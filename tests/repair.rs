@@ -6,7 +6,7 @@
 //! | `IntervalOracle::apply_delta` vs fresh oracle | every block-reliability query within 1e-12 relative (debug builds additionally assert **bit** identity inside `apply_delta`) |
 //! | `RepairSession::apply` vs cold exact solve | identical reliability on homogeneous platforms |
 //! | `RepairSession::apply` vs greedy | never less reliable on heterogeneous platforms; bounds exactly respected |
-//! | `repair_minimize_period_with_scratch` vs cold period optimizer | identical certified optimum |
+//! | `repair_minimize_period` vs cold period optimizer | identical certified optimum |
 //! | `monte_carlo_with_repair` | seeded fault-injection demo: segments split, reliability recovers |
 //!
 //! Reuses the ChaCha8 harness style of `tests/differential.rs`: each case is
@@ -14,8 +14,7 @@
 //! that reproduces it.
 
 use pipelined_rt::algorithms::{
-    greedy_het_with_oracle, minimize_period_with_reliability_bound_with_scratch,
-    optimize_reliability_homogeneous, repair_minimize_period_with_scratch, AlgoError, DpScratch,
+    greedy_het, minimize_period, optimize_reliability, repair_minimize_period, AlgoError, DpScratch,
 };
 use pipelined_rt::model::{
     IntervalOracle, Platform, PlatformBuilder, PlatformDelta, Processor, TaskChain,
@@ -197,7 +196,9 @@ fn repairs_are_exact_or_at_least_greedy() {
         let evaluation = session.oracle().evaluate(session.mapping());
         assert_eq!(report.reliability, evaluation.reliability);
         if session.oracle().is_homogeneous() {
-            let exact = optimize_reliability_homogeneous(session.chain(), session.platform())
+            let (chain, platform) = (session.chain(), session.platform());
+            let oracle = IntervalOracle::new(chain, platform);
+            let exact = optimize_reliability(&oracle, chain, platform, None, &mut DpScratch::new())
                 .expect("repaired instance stays solvable");
             assert!(
                 (report.reliability - exact.reliability).abs()
@@ -208,7 +209,7 @@ fn repairs_are_exact_or_at_least_greedy() {
             );
         } else {
             let oracle = IntervalOracle::new(session.chain(), session.platform());
-            let greedy = greedy_het_with_oracle(&oracle, session.chain(), session.platform(), None);
+            let greedy = greedy_het(&oracle, session.chain(), session.platform(), None);
             if let Ok(greedy) = greedy {
                 assert!(
                     report.reliability >= greedy.reliability - 1e-12 * greedy.reliability,
@@ -297,13 +298,7 @@ fn warm_period_repair_matches_the_cold_optimizer() {
         let oracle = IntervalOracle::new(&chain, &platform);
         let bound = rng.gen_range(0.3..0.9);
         let mut scratch = DpScratch::new();
-        let cold = minimize_period_with_reliability_bound_with_scratch(
-            &oracle,
-            &chain,
-            &platform,
-            bound,
-            &mut scratch,
-        );
+        let cold = minimize_period(&oracle, &chain, &platform, bound, &mut scratch);
         // Revise one task's work and re-minimize: cold from scratch vs warm
         // from the stale optimum.
         let delta = PlatformDelta::TaskWorkRevised {
@@ -312,7 +307,7 @@ fn warm_period_repair_matches_the_cold_optimizer() {
         };
         let (new_chain, _) = delta.apply(&chain, &platform).unwrap();
         let new_oracle = IntervalOracle::new(&new_chain, &platform);
-        let fresh = minimize_period_with_reliability_bound_with_scratch(
+        let fresh = minimize_period(
             &new_oracle,
             &new_chain,
             &platform,
@@ -320,7 +315,7 @@ fn warm_period_repair_matches_the_cold_optimizer() {
             &mut DpScratch::new(),
         );
         let prev_period = cold.as_ref().map(|c| c.period).unwrap_or(f64::INFINITY);
-        let warm = repair_minimize_period_with_scratch(
+        let warm = repair_minimize_period(
             &new_oracle,
             &new_chain,
             &platform,
