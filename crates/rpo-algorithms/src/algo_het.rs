@@ -85,7 +85,7 @@ use rpo_model::{
 use serde::{Deserialize, Serialize};
 
 use crate::algo1::{DpKernel, OptimalMapping};
-use crate::alloc_het::{algo_alloc_heterogeneous, AllocationConstraints};
+use crate::alloc_het::algo_alloc_heterogeneous;
 use crate::heur_l::heur_l_partition;
 use crate::heur_p::heur_p_partition;
 use crate::{validate_bound, AlgoError, Result};
@@ -261,13 +261,11 @@ pub(crate) fn greedy_het_bounded(
     bound: f64,
     latency_bound: f64,
 ) -> Result<OptimalMapping> {
-    let constraints = AllocationConstraints::none();
     let mut best: Option<OptimalMapping> = None;
     for num_intervals in 1..=oracle.len().min(oracle.num_processors()) {
         for partition_fn in [heur_l_partition, heur_p_partition] {
             let partition = partition_fn(oracle, num_intervals);
-            let Ok(mapping) =
-                algo_alloc_heterogeneous(oracle, chain, platform, &partition, bound, &constraints)
+            let Ok(mapping) = algo_alloc_heterogeneous(oracle, chain, platform, &partition, bound)
             else {
                 continue;
             };

@@ -13,11 +13,6 @@
 //!    computation time respects the period bound and the interval holds fewer
 //!    than `K` replicas.
 //!
-//! Optional *allocation constraints* (a task that can only run on certain
-//! processors, e.g. because it needs a specific hardware driver) are honoured
-//! by checking, before any allocation, that the candidate processor is
-//! allowed for every task of the interval.
-//!
 //! # When to use this, and when to use `algo_het`
 //!
 //! This allocator is a greedy heuristic with no optimality story, and it
@@ -29,49 +24,14 @@
 //! pipeline built on this allocator (`BENCH_het.json` measures the gain at
 //! the paper's 10-processor setup). The greedy path remains the right tool
 //! when the class count exceeds [`crate::algo_het::MAX_DP_CLASSES`] (every
-//! processor its own class, as in the paper's fully random speeds), when
-//! per-task *allocation constraints* must be honoured (the class DP has no
-//! notion of them), or as the DP's own fallback and upper-bound pruner.
+//! processor its own class, as in the paper's fully random speeds), or as the
+//! DP's own fallback and upper-bound pruner.
 
 use rpo_model::{
-    Interval, IntervalOracle, IntervalPartition, MappedInterval, Mapping, Platform, ProcessorId,
-    TaskChain,
+    IntervalOracle, IntervalPartition, MappedInterval, Mapping, Platform, ProcessorId, TaskChain,
 };
 
 use crate::{AlgoError, Result};
-
-/// Restricts which processors may execute which task.
-///
-/// The default ([`AllocationConstraints::none`]) allows every processor for
-/// every task.
-#[derive(Debug, Clone, Default)]
-pub struct AllocationConstraints {
-    /// `forbidden[t]` = processors that may **not** execute task `t`.
-    /// Missing entries mean "no restriction".
-    forbidden: Vec<Vec<ProcessorId>>,
-}
-
-impl AllocationConstraints {
-    /// No restriction: every task may run on every processor.
-    pub fn none() -> Self {
-        AllocationConstraints::default()
-    }
-
-    /// Forbids task `task` from running on processor `processor`.
-    pub fn forbid(&mut self, task: usize, processor: ProcessorId) {
-        if self.forbidden.len() <= task {
-            self.forbidden.resize(task + 1, Vec::new());
-        }
-        self.forbidden[task].push(processor);
-    }
-
-    /// Whether processor `u` may execute every task of `interval`.
-    pub fn allows(&self, interval: Interval, u: ProcessorId) -> bool {
-        interval
-            .task_indices()
-            .all(|t| self.forbidden.get(t).is_none_or(|list| !list.contains(&u)))
-    }
-}
 
 /// Section 7.2 allocation: assigns heterogeneous processors to the intervals
 /// of `partition` under a period bound, maximizing reliability greedily.
@@ -84,15 +44,13 @@ impl AllocationConstraints {
 ///
 /// * [`AlgoError::InvalidBound`] if the period bound is NaN or not positive;
 /// * [`AlgoError::NoFeasibleMapping`] if some interval cannot receive any
-///   processor without violating the period bound (or the allocation
-///   constraints).
+///   processor without violating the period bound.
 pub fn algo_alloc_heterogeneous(
     oracle: &IntervalOracle,
     chain: &TaskChain,
     platform: &Platform,
     partition: &IntervalPartition,
     period_bound: f64,
-    constraints: &AllocationConstraints,
 ) -> Result<Mapping> {
     crate::debug_assert_oracle_matches(oracle, chain, platform);
     if period_bound.is_nan() || period_bound <= 0.0 {
@@ -124,7 +82,6 @@ pub fn algo_alloc_heterogeneous(
             |j: usize| oracle.work(partition.interval(j).first, partition.interval(j).last);
         let candidate = (0..m)
             .filter(|&j| assigned[j].is_empty())
-            .filter(|&j| constraints.allows(partition.interval(j), u))
             .filter(|&j| interval_work(j) / platform.speed(u) <= period_bound)
             .max_by(|&a, &b| {
                 interval_work(a)
@@ -144,7 +101,6 @@ pub fn algo_alloc_heterogeneous(
     for u in remaining {
         let candidate = (0..m)
             .filter(|&j| assigned[j].len() < k_max)
-            .filter(|&j| constraints.allows(partition.interval(j), u))
             .filter(|&j| {
                 let itv = partition.interval(j);
                 oracle.work(itv.first, itv.last) / platform.speed(u) <= period_bound
@@ -207,10 +163,9 @@ mod tests {
         p: &Platform,
         partition: &IntervalPartition,
         period_bound: f64,
-        constraints: &AllocationConstraints,
     ) -> Result<Mapping> {
         let oracle = IntervalOracle::new(c, p);
-        algo_alloc_heterogeneous(&oracle, c, p, partition, period_bound, constraints)
+        algo_alloc_heterogeneous(&oracle, c, p, partition, period_bound)
     }
 
     #[test]
@@ -218,7 +173,7 @@ mod tests {
         let c = chain();
         let p = het_platform();
         let partition = IntervalPartition::from_cut_points(&[1], 4).unwrap();
-        let mapping = alloc_het(&c, &p, &partition, 100.0, &AllocationConstraints::none()).unwrap();
+        let mapping = alloc_het(&c, &p, &partition, 100.0).unwrap();
         assert_eq!(mapping.num_intervals(), 2);
         for mi in mapping.intervals() {
             assert!(!mi.processors.is_empty());
@@ -233,7 +188,7 @@ mod tests {
         let partition = IntervalPartition::from_cut_points(&[1], 4).unwrap();
         // Interval 0 has W = 40, interval 1 has W = 65. With P = 20, only
         // processors of speed >= 3.25 can execute interval 1.
-        let mapping = alloc_het(&c, &p, &partition, 20.0, &AllocationConstraints::none()).unwrap();
+        let mapping = alloc_het(&c, &p, &partition, 20.0).unwrap();
         for mi in mapping.intervals() {
             for &u in &mi.processors {
                 assert!(
@@ -252,7 +207,7 @@ mod tests {
         let c = chain(); // one interval of total work 105
         let p = het_platform(); // fastest speed 5 -> period 21
         let partition = IntervalPartition::single(4).unwrap();
-        let result = alloc_het(&c, &p, &partition, 20.0, &AllocationConstraints::none());
+        let result = alloc_het(&c, &p, &partition, 20.0);
         assert_eq!(result.unwrap_err(), AlgoError::NoFeasibleMapping);
     }
 
@@ -273,8 +228,7 @@ mod tests {
                 builder = builder.processor(2.0, 2e-4);
             }
             let p = builder.build().unwrap();
-            let mapping =
-                alloc_het(&c, &p, &partition, 1e6, &AllocationConstraints::none()).unwrap();
+            let mapping = alloc_het(&c, &p, &partition, 1e6).unwrap();
             let r = MappingEvaluation::evaluate(&c, &p, &mapping).reliability;
             assert!(
                 r >= previous - 1e-15,
@@ -285,32 +239,12 @@ mod tests {
     }
 
     #[test]
-    fn allocation_constraints_are_respected() {
-        let c = chain();
-        let p = het_platform();
-        let partition = IntervalPartition::from_cut_points(&[1], 4).unwrap();
-        // Forbid the most attractive processor (index 2) from running task 3,
-        // which belongs to interval 1.
-        let mut constraints = AllocationConstraints::none();
-        constraints.forbid(3, 2);
-        let mapping = alloc_het(&c, &p, &partition, 1000.0, &constraints).unwrap();
-        assert!(
-            !mapping.interval(1).processors.contains(&2),
-            "forbidden processor was allocated to the constrained interval"
-        );
-        // It can still serve interval 0.
-        let unconstrained =
-            alloc_het(&c, &p, &partition, 1000.0, &AllocationConstraints::none()).unwrap();
-        assert!(unconstrained.processors_used() >= mapping.processors_used());
-    }
-
-    #[test]
     fn invalid_bound_and_too_few_processors_are_rejected() {
         let c = chain();
         let p = het_platform();
         let partition = IntervalPartition::from_cut_points(&[1], 4).unwrap();
         assert_eq!(
-            alloc_het(&c, &p, &partition, -1.0, &AllocationConstraints::none()).unwrap_err(),
+            alloc_het(&c, &p, &partition, -1.0).unwrap_err(),
             AlgoError::InvalidBound("period bound")
         );
         let tiny = PlatformBuilder::new()
@@ -319,7 +253,7 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(
-            alloc_het(&c, &tiny, &partition, 1e6, &AllocationConstraints::none()).unwrap_err(),
+            alloc_het(&c, &tiny, &partition, 1e6).unwrap_err(),
             AlgoError::NotEnoughProcessors {
                 intervals: 2,
                 processors: 1
@@ -340,7 +274,7 @@ mod tests {
             .build()
             .unwrap();
         let partition = IntervalPartition::from_cut_points(&[1], 4).unwrap();
-        let het = alloc_het(&c, &p, &partition, 1e9, &AllocationConstraints::none()).unwrap();
+        let het = alloc_het(&c, &p, &partition, 1e9).unwrap();
         let hom =
             crate::alloc::algo_alloc(&IntervalOracle::new(&c, &p), &c, &p, &partition).unwrap();
         let r_het = MappingEvaluation::evaluate(&c, &p, &het).reliability;

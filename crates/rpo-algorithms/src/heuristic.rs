@@ -18,7 +18,7 @@ use rpo_model::{IntervalOracle, Mapping, MappingEvaluation, Platform, TaskChain}
 use serde::{Deserialize, Serialize};
 
 use crate::alloc::algo_alloc;
-use crate::alloc_het::{algo_alloc_heterogeneous, AllocationConstraints};
+use crate::alloc_het::algo_alloc_heterogeneous;
 use crate::heur_l::heur_l_partition;
 use crate::heur_p::heur_p_partition;
 use crate::{AlgoError, Result};
@@ -94,7 +94,6 @@ pub fn run_heuristic(
     let n = oracle.len();
     let p = oracle.num_processors();
     let homogeneous = oracle.is_homogeneous();
-    let constraints = AllocationConstraints::none();
 
     let mut best: Option<HeuristicSolution> = None;
     for num_intervals in 1..=n.min(p) {
@@ -106,14 +105,7 @@ pub fn run_heuristic(
         let mapping = if homogeneous {
             algo_alloc(oracle, chain, platform, &partition)
         } else {
-            algo_alloc_heterogeneous(
-                oracle,
-                chain,
-                platform,
-                &partition,
-                config.period_bound,
-                &constraints,
-            )
+            algo_alloc_heterogeneous(oracle, chain, platform, &partition, config.period_bound)
         };
         let Ok(mapping) = mapping else { continue };
 

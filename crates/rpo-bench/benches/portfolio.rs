@@ -5,8 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rpo_bench::{bench_chain, bench_het_platform, bench_hom_platform};
 use rpo_portfolio::{
-    default_backends, BatchConfig, BatchDriver, BoundsPolicy, Budget, PortfolioEngine,
-    ProblemInstance,
+    default_backends, BatchDriver, BoundsPolicy, Budget, PortfolioEngine, ProblemInstance,
 };
 use rpo_workload::InstanceGenerator;
 use std::hint::black_box;
@@ -73,15 +72,14 @@ fn portfolio_batch(c: &mut Criterion) {
                 b.iter(|| {
                     // Fresh engine per iteration: measure cold-cache streaming.
                     let engine = PortfolioEngine::new(default_backends(), Budget::default());
-                    let driver = BatchDriver::new(BatchConfig {
-                        bounds: BoundsPolicy {
-                            period_slack: 1.6,
-                            latency_slack: 1.25,
-                        },
-                        ..BatchConfig::default()
-                    });
-                    let generator = InstanceGenerator::paper_homogeneous(2024);
-                    black_box(driver.run(&engine, generator.stream(count)))
+                    let bounds = BoundsPolicy {
+                        period_slack: 1.6,
+                        latency_slack: 1.25,
+                    };
+                    let instances = InstanceGenerator::paper_homogeneous(2024)
+                        .stream(count)
+                        .map(|e| bounds.instance(&e.chain, &e.homogeneous));
+                    black_box(BatchDriver::default().run(&engine, instances))
                 })
             },
         );

@@ -60,7 +60,7 @@ use rpo_algorithms::{
 };
 use rpo_bench::{bench_chain, bench_hom_platform};
 use rpo_model::{reliability, Interval, IntervalOracle, Platform, TaskChain};
-use rpo_portfolio::{BatchConfig, BatchDriver, BoundsPolicy, PortfolioEngine, ProblemInstance};
+use rpo_portfolio::{BatchDriver, BoundsPolicy, PortfolioEngine, ProblemInstance};
 use rpo_serve::{ResponseStatus, ServeConfig, ServeRequest, ServeResponse, SolverService};
 use rpo_workload::{ChainSpec, GeneratedRequest, InstanceGenerator, RequestSpec};
 use serde::Serialize;
@@ -913,6 +913,14 @@ fn compare_kernels(
     }
 }
 
+/// The `BATCH_INSTANCES` paper-style homogeneous instances of the portfolio
+/// batch, under the default bounds.
+fn paper_batch_instances() -> impl Iterator<Item = ProblemInstance> + Send {
+    InstanceGenerator::paper_homogeneous(0x0AC1E)
+        .stream(BATCH_INSTANCES)
+        .map(|e| BoundsPolicy::default().instance(&e.chain, &e.homogeneous))
+}
+
 /// A batch of near-duplicate instances: `BATCH_INSTANCES / 3` distinct
 /// chains/platforms, three period-bound variants each — the shape where the
 /// chain-keyed oracle cache pays (the front cache misses every variant).
@@ -925,7 +933,7 @@ fn near_duplicate_instances() -> Vec<ProblemInstance> {
                 period_slack,
                 ..BoundsPolicy::default()
             };
-            instances.push(bounds.instance(&experiment, false));
+            instances.push(bounds.instance(&experiment.chain, &experiment.homogeneous));
         }
     }
     instances
@@ -945,8 +953,7 @@ fn run_sharing_batch(share_oracles: bool) -> SharingSummary {
             } else {
                 PortfolioEngine::default().with_oracle_cache_capacity(0)
             };
-            let driver = BatchDriver::new(BatchConfig::default());
-            let report = driver.run_instances(&engine, near_duplicate_instances());
+            let report = BatchDriver::default().run(&engine, near_duplicate_instances());
             SharingSummary {
                 instances: report.instances,
                 elapsed_millis: report.elapsed.as_secs_f64() * 1e3,
@@ -966,12 +973,7 @@ fn run_sharing_batch(share_oracles: bool) -> SharingSummary {
 
 fn run_batch() -> BatchSummary {
     let engine = PortfolioEngine::default();
-    let driver = BatchDriver::new(BatchConfig {
-        bounds: BoundsPolicy::default(),
-        ..BatchConfig::default()
-    });
-    let generator = InstanceGenerator::paper_homogeneous(0x0AC1E);
-    let report = driver.run(&engine, generator.stream(BATCH_INSTANCES));
+    let report = BatchDriver::default().run(&engine, paper_batch_instances());
     BatchSummary {
         instances: report.instances,
         feasible_instances: report.feasible_instances,
@@ -1061,9 +1063,7 @@ fn overhead_throughput(enabled: bool) -> f64 {
     let mut samples: Vec<f64> = (0..OVERHEAD_REPS)
         .map(|_| {
             let engine = PortfolioEngine::default();
-            let driver = BatchDriver::new(BatchConfig::default());
-            let generator = InstanceGenerator::paper_homogeneous(0x0AC1E);
-            let report = driver.run(&engine, generator.stream(BATCH_INSTANCES));
+            let report = BatchDriver::default().run(&engine, paper_batch_instances());
             report.throughput()
         })
         .collect();

@@ -6,8 +6,8 @@
 //! solve --example                     # print an example problem file
 //! solve portfolio path/to/problem.json  # race the whole solver portfolio
 //! solve portfolio -                     # ... reading from standard input
-//! solve batch <count> [--seed N] [--het] [--workers N] [--bucketed]  # drive a generated batch
-//! solve repair <count> [--churn] [--seed N] [--het] [--workers N]    # replay platform churn
+//! solve batch <count> [--seed N] [--het] [--workers N]             # drive a generated batch
+//! solve repair <count> [--churn] [--seed N] [--het] [--workers N]  # replay platform churn
 //! solve serve [--tcp ADDR] [--workers N] [--queue N] [--deadline-ms F]  # long-lived service
 //! ```
 //!
@@ -17,12 +17,14 @@
 //! front (reliability, worst-case period, worst-case latency), with the
 //! per-backend run/skip census. The `batch` subcommand streams `count`
 //! paper-style generated instances through the batch driver and prints the
-//! throughput/win-rate report. The `repair` subcommand opens one live
-//! repair session per generated instance and replays a seeded platform-churn
-//! trace through the graded repair ladder (local patch → warm DP → full
-//! solve), printing the per-tier census and the repair-vs-cold-solve
-//! latency; `--churn` switches from the paper's natural failure model to an
-//! aggressive short-horizon trace with a mid-run kill burst. The `serve`
+//! throughput/win-rate report; the driver sends every full bucket of
+//! same-shape homogeneous instances through the batched SoA mega-kernel by
+//! itself. The `repair` subcommand opens one live repair session per
+//! generated instance and replays a seeded platform-churn trace through the
+//! graded repair ladder (local patch → warm DP → full solve), printing the
+//! per-tier census and the repair-vs-cold-solve latency; `--churn` switches
+//! from the paper's natural failure model to an aggressive short-horizon
+//! trace with a mid-run kill burst. The `serve`
 //! subcommand starts the long-lived solver service (`rpo-serve`): one JSON
 //! request per stdin line, one JSON response per stdout line (or the same
 //! protocol over TCP with `--tcp ADDR`), with bounded-queue admission
@@ -34,9 +36,10 @@
 //!   as JSON Lines, one span object per line;
 //! * `--collapse <path>` — write the collapsed-stack export (flamegraph.pl
 //!   input) of the same spans;
-//! * `--report-json <path>` — `batch` only: write the full serialized
-//!   [`BatchReport`](rpo_portfolio::BatchReport), embedded
-//!   `MetricsSnapshot` included, for machine-to-machine diffing.
+//! * `--report-json <path>` — `batch` and `repair`: write the full
+//!   serialized [`BatchReport`](rpo_portfolio::BatchReport) (embedded
+//!   `MetricsSnapshot` included) or [`ChurnReport`](rpo_repair::ChurnReport),
+//!   for machine-to-machine diffing.
 
 use std::io::{ErrorKind, Read as _, Write as _};
 use std::process::ExitCode;
@@ -46,7 +49,9 @@ use std::time::{Duration, Instant};
 use rpo_experiments::problem_io::{
     portfolio_report_to_json, report_to_json, solve, solve_portfolio, ProblemSpec,
 };
-use rpo_portfolio::{BatchConfig, BatchDriver, ChurnConfig, PortfolioEngine};
+use rpo_model::{Platform, TaskChain};
+use rpo_portfolio::{BatchDriver, BoundsPolicy, PortfolioEngine};
+use rpo_repair::{replay_churn, ChurnConfig};
 use rpo_serve::{serve_lines, ServeConfig, SolverService, TcpServer};
 use rpo_workload::{ChurnSpec, InstanceGenerator};
 
@@ -75,8 +80,7 @@ const EXAMPLE: &str = r#"{
 
 const USAGE: &str = "usage: solve <problem.json | -> | solve --example \
      | solve portfolio <problem.json | -> \
-     | solve batch <count> [--seed N] [--het] [--workers N] [--bucketed] \
-     [--report-json <path>] \
+     | solve batch <count> [--seed N] [--het] [--workers N] [--report-json <path>] \
      | solve repair <count> [--churn] [--seed N] [--het] [--workers N] \
      [--report-json <path>] \
      | solve serve [--tcp ADDR] [--workers N] [--queue N] [--deadline-ms F]\n\
@@ -91,7 +95,6 @@ struct ObsArgs {
     seed: u64,
     workers: Option<usize>,
     heterogeneous: bool,
-    bucketed: bool,
     churn: bool,
     tcp: Option<String>,
     queue: Option<usize>,
@@ -178,7 +181,6 @@ fn parse_flags(args: Vec<String>) -> Result<(Vec<String>, ObsArgs), String> {
                     obs.deadline = Some(parse_deadline_ms(&flag_value("--deadline-ms", None)?)?);
                 }
                 "--het" => obs.heterogeneous = true,
-                "--bucketed" => obs.bucketed = true,
                 "--churn" => obs.churn = true,
                 _ => positional.push(arg),
             },
@@ -209,45 +211,60 @@ fn run(path: &str, portfolio: bool) -> Result<String, String> {
     }
 }
 
-/// Streams `count` generated paper-style instances through the batch driver
-/// and returns the human-readable report (writing the machine-readable one
-/// to `--report-json` when requested).
-fn run_batch(count: usize, obs: &ObsArgs) -> Result<String, String> {
-    let generator = if obs.heterogeneous {
+/// `count` generated paper-style `(chain, platform)` pairs, on the
+/// heterogeneous platforms with `--het`.
+fn paper_instances(
+    count: usize,
+    obs: &ObsArgs,
+) -> impl Iterator<Item = (TaskChain, Platform)> + Send {
+    let heterogeneous = obs.heterogeneous;
+    let generator = if heterogeneous {
         InstanceGenerator::paper_heterogeneous(obs.seed)
     } else {
         InstanceGenerator::paper_homogeneous(obs.seed)
     };
-    let engine = PortfolioEngine::default();
-    let mut config = BatchConfig {
-        heterogeneous: obs.heterogeneous,
-        bucketed: obs.bucketed,
-        ..BatchConfig::default()
-    };
-    if let Some(workers) = obs.workers {
-        config.workers = workers.max(1);
-    }
-    let report = BatchDriver::new(config).run(&engine, generator.stream(count));
+    generator.stream(count).map(move |experiment| {
+        let platform = if heterogeneous {
+            experiment.heterogeneous
+        } else {
+            experiment.homogeneous
+        };
+        (experiment.chain, platform)
+    })
+}
+
+/// `--workers`, or one worker per available core.
+fn workers(obs: &ObsArgs) -> usize {
+    obs.workers.map_or_else(
+        || std::thread::available_parallelism().map_or(1, |n| n.get()),
+        |workers| workers.max(1),
+    )
+}
+
+/// Writes `report` to `--report-json`, when requested.
+fn write_report_json(obs: &ObsArgs, report: &impl serde::Serialize) -> Result<(), String> {
     if let Some(path) = &obs.report_json {
-        let json = serde_json::to_string_pretty(&report)
+        let json = serde_json::to_string_pretty(report)
             .map_err(|error| format!("failed to serialize report: {error}"))?;
         std::fs::write(path, json).map_err(|error| format!("failed to write {path}: {error}"))?;
     }
+    Ok(())
+}
+
+/// Streams `count` generated paper-style instances through the batch driver
+/// and returns the human-readable report.
+fn run_batch(count: usize, obs: &ObsArgs) -> Result<String, String> {
+    let bounds = BoundsPolicy::default();
+    let instances = paper_instances(count, obs)
+        .map(move |(chain, platform)| bounds.instance(&chain, &platform));
+    let report = BatchDriver::new(workers(obs)).run(&PortfolioEngine::default(), instances);
+    write_report_json(obs, &report)?;
     Ok(report.to_string())
 }
 
 /// Opens one repair session per generated instance and replays a seeded
 /// platform-churn trace through the graded repair ladder.
 fn run_repair(count: usize, obs: &ObsArgs) -> Result<String, String> {
-    let generator = if obs.heterogeneous {
-        InstanceGenerator::paper_heterogeneous(obs.seed)
-    } else {
-        InstanceGenerator::paper_homogeneous(obs.seed)
-    };
-    let mut batch = BatchConfig::default();
-    if let Some(workers) = obs.workers {
-        batch.workers = workers.max(1);
-    }
     let config = ChurnConfig {
         spec: if obs.churn {
             // Aggressive mode: a short horizon plus a 3-kill mid-run burst,
@@ -263,15 +280,10 @@ fn run_repair(count: usize, obs: &ObsArgs) -> Result<String, String> {
             ChurnSpec::paper()
         },
         seed: obs.seed,
-        heterogeneous: obs.heterogeneous,
         period_bound: None,
     };
-    let report = BatchDriver::new(batch).run_churn(&config, generator.stream(count));
-    if let Some(path) = &obs.report_json {
-        let json = serde_json::to_string_pretty(&report)
-            .map_err(|error| format!("failed to serialize report: {error}"))?;
-        std::fs::write(path, json).map_err(|error| format!("failed to write {path}: {error}"))?;
-    }
+    let report = replay_churn(&config, workers(obs), paper_instances(count, obs));
+    write_report_json(obs, &report)?;
     Ok(report.to_string())
 }
 

@@ -24,7 +24,6 @@
 use crate::backend::{
     Applicability, Budget, CandidateMapping, ProblemInstance, SolveContext, SolverBackend,
 };
-use rpo_algorithms::alloc_het::AllocationConstraints;
 use rpo_algorithms::{
     algo_alloc, algo_alloc_heterogeneous, algo_het, algo_het_lat, exact, het_dp_applicable,
     het_dp_applicable_platform, heur_l_partition, heur_p_partition, minimize_period,
@@ -225,7 +224,6 @@ impl SolverBackend for HeuristicBackend {
         let chain = &instance.chain;
         let platform = &instance.platform;
         let homogeneous = oracle.is_homogeneous();
-        let constraints = AllocationConstraints::none();
 
         let mut candidates = Vec::new();
         for num_intervals in 1..=chain.len().min(platform.num_processors()) {
@@ -233,14 +231,7 @@ impl SolverBackend for HeuristicBackend {
             let mapping = if homogeneous {
                 algo_alloc(oracle, chain, platform, &partition)
             } else {
-                algo_alloc_heterogeneous(
-                    oracle,
-                    chain,
-                    platform,
-                    &partition,
-                    instance.period_bound,
-                    &constraints,
-                )
+                algo_alloc_heterogeneous(oracle, chain, platform, &partition, instance.period_bound)
             };
             if let Ok(mapping) = mapping {
                 candidates.push(CandidateMapping::evaluate_with_oracle(
@@ -415,7 +406,6 @@ impl SolverBackend for HetSweepBackend {
     ) -> Vec<CandidateMapping> {
         let chain = &instance.chain;
         let platform = &instance.platform;
-        let constraints = AllocationConstraints::none();
 
         // Sweep from the tightest conceivable period (largest task on the
         // fastest processor) up to the instance bound (or its finite
@@ -440,14 +430,9 @@ impl SolverBackend for HetSweepBackend {
             for num_intervals in 1..=chain.len().min(platform.num_processors()) {
                 for partition_fn in [heur_l_partition, heur_p_partition] {
                     let partition = partition_fn(oracle, num_intervals);
-                    if let Ok(mapping) = algo_alloc_heterogeneous(
-                        oracle,
-                        chain,
-                        platform,
-                        &partition,
-                        target,
-                        &constraints,
-                    ) {
+                    if let Ok(mapping) =
+                        algo_alloc_heterogeneous(oracle, chain, platform, &partition, target)
+                    {
                         let candidate =
                             CandidateMapping::evaluate_with_oracle(self.name(), oracle, mapping);
                         // Abandon profiles the live front already strictly

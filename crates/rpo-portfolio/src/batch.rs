@@ -1,14 +1,13 @@
-//! The batch driver: streams thousands of generated instances through the
-//! portfolio engine across worker threads and reports throughput and
-//! per-backend win rates.
+//! The batch driver: streams thousands of instances through the portfolio
+//! engine across worker threads and reports throughput and per-backend win
+//! rates.
 
 use crate::backend::{CandidateMapping, ProblemInstance};
 use crate::cache::CacheStats;
-use crate::engine::{PortfolioEngine, PortfolioOutcome, RunStatus};
+use crate::engine::{PortfolioEngine, PortfolioOutcome, Precomputed, RunStatus};
 use rpo_algorithms::{solve_batch, BatchLane, BatchScratch, LANES};
-use rpo_model::{CanonicalHasher, IntervalOracle};
+use rpo_model::{CanonicalHasher, IntervalOracle, Platform, TaskChain};
 use rpo_obs::MetricsSnapshot;
-use rpo_workload::ExperimentInstance;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -43,60 +42,14 @@ impl BoundsPolicy {
         }
     }
 
-    /// Builds the portfolio instance for one generated experiment instance.
-    pub fn instance(
-        &self,
-        experiment: &ExperimentInstance,
-        heterogeneous: bool,
-    ) -> ProblemInstance {
-        let platform = if heterogeneous {
-            &experiment.heterogeneous
-        } else {
-            &experiment.homogeneous
-        };
+    /// Builds the portfolio instance for `chain` on `platform`.
+    pub fn instance(&self, chain: &TaskChain, platform: &Platform) -> ProblemInstance {
         let speed = platform.max_speed();
-        let period_bound = self.period_slack * experiment.chain.max_task_work() / speed;
-        let latency_bound = self.latency_slack * experiment.chain.total_work() / speed;
         ProblemInstance {
-            chain: experiment.chain.clone(),
+            chain: chain.clone(),
             platform: platform.clone(),
-            period_bound,
-            latency_bound,
-        }
-    }
-}
-
-/// Batch driver configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BatchConfig {
-    /// Worker threads. Each solves one instance at a time on its own thread,
-    /// whatever [`PortfolioEngine::with_threads`] is set to.
-    pub workers: usize,
-    /// Bound derivation policy.
-    pub bounds: BoundsPolicy,
-    /// Solve each instance on its heterogeneous platform instead of the
-    /// homogeneous one.
-    pub heterogeneous: bool,
-    /// Shape-bucket the ingress stream through the batched SoA mega-kernel:
-    /// homogeneous instances of the same `(n, p, k_max, class signature)`
-    /// shape are grouped and their Algo-1/Algo-2 DP runs in lockstep, one
-    /// instance per SIMD lane; every other backend still races per instance.
-    /// Heterogeneous or otherwise ineligible instances take the per-instance
-    /// path as the remainder loop. Off by default: bucketing pays off on
-    /// streams with many same-shape instances, and delays answers until a
-    /// bucket fills (or the stream ends).
-    pub bucketed: bool,
-}
-
-impl Default for BatchConfig {
-    fn default() -> Self {
-        BatchConfig {
-            workers: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            bounds: BoundsPolicy::default(),
-            heterogeneous: false,
-            bucketed: false,
+            period_bound: self.period_slack * chain.max_task_work() / speed,
+            latency_bound: self.latency_slack * chain.total_work() / speed,
         }
     }
 }
@@ -152,9 +105,8 @@ pub struct BatchReport {
     /// reused a pooled DP arena from an earlier instance (allocation reuse
     /// only; admissibility data stays per-instance).
     pub scratch_pool: CacheStats,
-    /// Shape buckets dispatched through the SoA mega-kernel — full
-    /// `LANES`-wide buckets plus the partial ones flushed at stream end
-    /// (0 when bucketing is off).
+    /// Full `LANES`-wide shape buckets dispatched through the SoA
+    /// mega-kernel.
     #[serde(default)]
     pub buckets_dispatched: usize,
     /// Instances answered through a mega-kernel bucket.
@@ -168,9 +120,9 @@ pub struct BatchReport {
     /// proportional to the length spread.
     #[serde(default)]
     pub padded_lanes: usize,
-    /// Bucketing-ineligible instances (heterogeneous platform, out-of-range
-    /// shape) routed down the per-instance portfolio path while bucketing
-    /// was on.
+    /// Instances solved one at a time on the per-instance path: the
+    /// bucketing-ineligible ones (heterogeneous platform, out-of-range shape)
+    /// and the leftovers of shape buckets that never filled.
     #[serde(default)]
     pub remainder_solves: usize,
     /// The global metrics recorded *during this batch* (the registry delta
@@ -196,7 +148,7 @@ struct Tally {
 
 /// Folds one solve's outcome into the worker-local tally (feasibility,
 /// cache answers, per-backend runs/wins/front points). Shared by the
-/// per-instance path and the bucketed mega-kernel path, so both modes
+/// per-instance path and the bucketed mega-kernel path, so both paths
 /// account identically.
 fn record_outcome(local: &mut Tally, outcome: &PortfolioOutcome) {
     if outcome.is_feasible() {
@@ -210,7 +162,7 @@ fn record_outcome(local: &mut Tally, outcome: &PortfolioOutcome) {
     for run in &outcome.runs {
         // Precomputed runs carry the mega-kernel's candidates for this
         // backend: same results, different executor — counted like a
-        // completed run so win rates stay comparable across modes.
+        // completed run so win rates stay comparable across paths.
         if !matches!(run.status, RunStatus::Completed | RunStatus::Precomputed) {
             continue;
         }
@@ -263,11 +215,12 @@ fn bucket_key(instance: &ProblemInstance) -> Option<u64> {
     Some(hasher.finish())
 }
 
-/// Dispatches one shape bucket: the SoA mega-kernel solves the Algo-1 DP
-/// (all lanes unbounded) and, where period bounds are finite, the Algo-2 DP
-/// (actual per-lane bounds) for every instance at once; each instance then
+/// Dispatches one full shape bucket: the SoA mega-kernel solves the Algo-1
+/// DP (all lanes unbounded) and, where period bounds are finite, the Algo-2
+/// DP (actual per-lane bounds) for every instance at once; each instance then
 /// finishes through an inline engine solve that re-certifies the lane
-/// results and races the remaining backends.
+/// results on the lane's oracle and races the remaining backends. Each lane
+/// is charged an equal share of each kernel pass's wall time.
 fn solve_bucket(
     engine: &PortfolioEngine,
     instances: &[ProblemInstance],
@@ -291,25 +244,9 @@ fn solve_bucket(
         .iter()
         .map(|inst| engine.oracle_for(inst))
         .collect();
-
-    // Algo-1 pass: the unconstrained reliability DP on every lane.
-    let lanes: Vec<BatchLane> = instances
-        .iter()
-        .zip(&oracles)
-        .map(|(inst, oracle)| BatchLane {
-            oracle,
-            chain: &inst.chain,
-            platform: &inst.platform,
-            period_bound: None,
-        })
-        .collect();
-    let mut algo1 = solve_batch(&lanes, scratch).into_iter();
-
-    // Algo-2 pass: the period-bounded DP, only for lanes with a finite
-    // bound (matching the Algo-2 backend's applicability gate). Lanes
-    // without one would just repeat the Algo-1 result.
-    let any_bounded = instances.iter().any(|inst| inst.period_bound.is_finite());
-    let mut algo2 = if any_bounded {
+    // One timed kernel pass over every lane: unbounded (Algo-1), or under
+    // each lane's finite period bound (Algo-2).
+    let mut pass = |bounded: bool| {
         let lanes: Vec<BatchLane> = instances
             .iter()
             .zip(&oracles)
@@ -317,37 +254,56 @@ fn solve_bucket(
                 oracle,
                 chain: &inst.chain,
                 platform: &inst.platform,
-                period_bound: inst.period_bound.is_finite().then_some(inst.period_bound),
+                period_bound: (bounded && inst.period_bound.is_finite())
+                    .then_some(inst.period_bound),
             })
             .collect();
-        solve_batch(&lanes, scratch)
+        let start = Instant::now();
+        let solutions = solve_batch(&lanes, scratch);
+        (solutions, start.elapsed() / instances.len() as u32)
+    };
+    let (algo1, algo1_share) = pass(false);
+    // The Algo-2 pass runs only when some lane has a finite bound (matching
+    // the Algo-2 backend's applicability gate); without one it would just
+    // repeat the Algo-1 result.
+    let (algo2, algo2_share) = if instances.iter().any(|inst| inst.period_bound.is_finite()) {
+        pass(true)
     } else {
-        vec![None; instances.len()]
-    }
-    .into_iter();
+        (vec![None; instances.len()], Duration::ZERO)
+    };
 
-    for (instance, oracle) in instances.iter().zip(&oracles) {
-        let mut precomputed: Vec<(&'static str, Vec<CandidateMapping>)> = Vec::new();
+    for (((instance, oracle), algo1), algo2) in instances.iter().zip(oracles).zip(algo1).zip(algo2)
+    {
         let candidates = |solution: Option<rpo_algorithms::OptimalMapping>, name| {
             solution
                 .map(|s| {
                     vec![CandidateMapping::evaluate_with_oracle(
-                        name, oracle, s.mapping,
+                        name, &oracle, s.mapping,
                     )]
                 })
                 .unwrap_or_default()
         };
-        precomputed.push(("Algo-1", candidates(algo1.next().flatten(), "Algo-1")));
-        let algo2_result = algo2.next().flatten();
+        let mut runs = vec![("Algo-1", candidates(algo1, "Algo-1"), algo1_share)];
         if instance.period_bound.is_finite() {
-            precomputed.push(("Algo-2", candidates(algo2_result, "Algo-2")));
+            runs.push(("Algo-2", candidates(algo2, "Algo-2"), algo2_share));
         }
         let solve_start = Instant::now();
-        let outcome = engine.solve_inline(instance, precomputed);
+        let outcome = engine.solve_inline(instance, Some(Precomputed { oracle, runs }));
         rpo_obs::histogram!("batch.solve").record(solve_start.elapsed());
         record_outcome(local, &outcome);
         local.bucketed += 1;
     }
+}
+
+/// Solves one instance on the per-instance path (every backend races on
+/// this thread) and counts it as a remainder solve.
+fn solve_remainder(engine: &PortfolioEngine, instance: &ProblemInstance, local: &mut Tally) {
+    local.remainder += 1;
+    rpo_obs::counter!("dp.batch.remainder_solves").inc();
+    let solve_start = Instant::now();
+    let outcome = engine.solve_inline(instance, None);
+    rpo_obs::histogram!("batch.solve").record(solve_start.elapsed());
+    record_outcome(local, &outcome);
 }
 
 impl BatchReport {
@@ -437,60 +393,56 @@ impl std::fmt::Display for BatchReport {
 /// a time on its own thread, whatever [`PortfolioEngine::with_threads`] is
 /// set to: across a batch, instance-level parallelism alone fills the
 /// workers.
-#[derive(Default)]
+///
+/// The driver picks each instance's path itself. A homogeneous instance
+/// within the mega-kernel's ranges is parked in its shape bucket; every
+/// bucket that fills to `LANES` instances runs its Algo-1/Algo-2 DP through
+/// the batched SoA mega-kernel ([`rpo_algorithms::solve_batch`]), one
+/// instance per SIMD lane, while the other backends still race per
+/// instance. Every other instance, and at stream end the leftovers of
+/// buckets that never filled, is solved on the per-instance path. Both
+/// paths give bit-identical fronts.
 pub struct BatchDriver {
-    pub(crate) config: BatchConfig,
+    workers: usize,
+}
+
+impl Default for BatchDriver {
+    /// One worker per available core.
+    fn default() -> Self {
+        BatchDriver::new(
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1),
+        )
+    }
 }
 
 impl BatchDriver {
-    /// A driver with the given configuration.
-    pub fn new(config: BatchConfig) -> Self {
-        BatchDriver { config }
+    /// A driver with `workers` worker threads (min 1).
+    pub fn new(workers: usize) -> Self {
+        BatchDriver {
+            workers: workers.max(1),
+        }
     }
 
-    /// Runs every instance of `stream` through `engine` and aggregates the
-    /// per-backend statistics. The stream is consumed lazily — instances
-    /// are generated one at a time as workers become free, so arbitrarily
-    /// long batches run in O(workers) memory.
-    pub fn run<I>(&self, engine: &PortfolioEngine, stream: I) -> BatchReport
+    /// Runs every instance through `engine` and aggregates the per-backend
+    /// statistics. The input is consumed lazily, one instance at a time as
+    /// workers become free; besides the instances in flight, the driver
+    /// holds at most `LANES − 1` parked instances per distinct shape, so a
+    /// batch of any length runs in O(workers + shapes × (LANES − 1)) memory.
+    pub fn run<I>(&self, engine: &PortfolioEngine, instances: I) -> BatchReport
     where
-        I: IntoIterator<Item = ExperimentInstance>,
+        I: IntoIterator<Item = ProblemInstance>,
         I::IntoIter: Send,
     {
-        let bounds = self.config.bounds;
-        let heterogeneous = self.config.heterogeneous;
-        self.drive(
-            engine,
-            stream
-                .into_iter()
-                .map(move |experiment| bounds.instance(&experiment, heterogeneous)),
-        )
-    }
-
-    /// Like [`BatchDriver::run`], for pre-built portfolio instances.
-    pub fn run_instances(
-        &self,
-        engine: &PortfolioEngine,
-        instances: Vec<ProblemInstance>,
-    ) -> BatchReport {
-        self.drive(engine, instances.into_iter())
-    }
-
-    /// The shared worker loop: threads pull the next instance from the
-    /// mutex-guarded iterator (held only while generating one instance),
-    /// solve it, and fold their local tallies at the end.
-    fn drive<J>(&self, engine: &PortfolioEngine, instances: J) -> BatchReport
-    where
-        J: Iterator<Item = ProblemInstance> + Send,
-    {
-        let _span = rpo_obs::span!("batch.drive", workers = self.config.workers);
+        let _span = rpo_obs::span!("batch.drive", workers = self.workers);
         // The report embeds only the metrics recorded during *this* batch:
         // snapshot the global registry now and export the delta at the end.
         let metrics_base = rpo_obs::global().snapshot();
         let start = Instant::now();
-        let workers = self.config.workers.max(1);
-        let source = Mutex::new(instances);
-        let bucketed_mode = self.config.bucketed;
+        // Workers pull the next instance from the mutex-guarded iterator
+        // (held only while producing one instance).
+        let source = Mutex::new(instances.into_iter());
         // Shape buckets filling towards LANES-wide mega-kernel dispatches,
         // shared by all workers; whichever worker completes a bucket
         // dispatches it (outside the map lock).
@@ -498,7 +450,7 @@ impl BatchDriver {
 
         let tally: Mutex<Tally> = Mutex::new(Tally::default());
         std::thread::scope(|scope| {
-            for _ in 0..workers {
+            for _ in 0..self.workers {
                 scope.spawn(|| {
                     let mut local = Tally::default();
                     // Worker-local SoA arenas for bucketed dispatches,
@@ -517,48 +469,39 @@ impl BatchDriver {
                         };
                         local.count += 1;
                         rpo_obs::counter!("batch.instances").inc();
-                        if bucketed_mode {
-                            if let Some(key) = bucket_key(&instance) {
-                                // Park the instance in its shape bucket; a
-                                // full bucket is taken (inside the lock) and
-                                // dispatched (outside it) by this worker.
-                                let full = {
-                                    let mut map = buckets.lock().expect("bucket map lock poisoned");
-                                    let bucket = map.entry(key).or_default();
-                                    bucket.push(instance);
-                                    (bucket.len() >= LANES).then(|| std::mem::take(bucket))
-                                };
-                                if let Some(batch) = full {
-                                    solve_bucket(engine, &batch, &mut batch_scratch, &mut local);
-                                }
-                                continue;
-                            }
-                            local.remainder += 1;
-                            rpo_obs::counter!("dp.batch.remainder_solves").inc();
+                        let Some(key) = bucket_key(&instance) else {
+                            solve_remainder(engine, &instance, &mut local);
+                            continue;
+                        };
+                        // Park the instance in its shape bucket; a full
+                        // bucket is taken (inside the lock) and dispatched
+                        // (outside it) by this worker.
+                        let full = {
+                            let mut map = buckets.lock().expect("bucket map lock poisoned");
+                            let bucket = map.entry(key).or_default();
+                            bucket.push(instance);
+                            (bucket.len() >= LANES).then(|| std::mem::take(bucket))
+                        };
+                        if let Some(batch) = full {
+                            solve_bucket(engine, &batch, &mut batch_scratch, &mut local);
                         }
-                        let solve_start = Instant::now();
-                        let outcome = engine.solve_inline(&instance, Vec::new());
-                        rpo_obs::histogram!("batch.solve").record(solve_start.elapsed());
-                        record_outcome(&mut local, &outcome);
                     }
-                    // Stream exhausted: flush the remaining (partial) shape
-                    // buckets through the mega-kernel, sharing the work
-                    // across whichever workers finish first. Every bucketed
-                    // instance is flushed: a worker only exits its solve
-                    // loop after its last insert, and flushes afterwards.
-                    if bucketed_mode {
-                        loop {
-                            let batch = {
-                                let mut map = buckets.lock().expect("bucket map lock poisoned");
-                                let key = map.keys().next().copied();
-                                key.and_then(|k| map.remove(&k))
-                            };
-                            let Some(batch) = batch else {
-                                break;
-                            };
-                            if !batch.is_empty() {
-                                solve_bucket(engine, &batch, &mut batch_scratch, &mut local);
-                            }
+                    // Stream exhausted: the leftovers of buckets that never
+                    // filled take the per-instance path, shared across
+                    // whichever workers finish first. None is missed: a
+                    // worker only exits its solve loop after its last
+                    // insert, and drains the map afterwards.
+                    loop {
+                        let leftovers = {
+                            let mut map = buckets.lock().expect("bucket map lock poisoned");
+                            let key = map.keys().next().copied();
+                            key.and_then(|k| map.remove(&k))
+                        };
+                        let Some(leftovers) = leftovers else {
+                            break;
+                        };
+                        for instance in &leftovers {
+                            solve_remainder(engine, instance, &mut local);
                         }
                     }
                     // Fold the worker-local tally into the shared one.
@@ -611,19 +554,53 @@ impl BatchDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pareto::ParetoFront;
     use rpo_workload::InstanceGenerator;
+
+    /// `count` paper instances on their homogeneous platforms, under the
+    /// default bounds.
+    fn paper_homogeneous(seed: u64, count: usize) -> Vec<ProblemInstance> {
+        InstanceGenerator::paper_homogeneous(seed)
+            .stream(count)
+            .map(|e| BoundsPolicy::default().instance(&e.chain, &e.homogeneous))
+            .collect()
+    }
+
+    /// The bitwise identity of a front: each point's mapping fingerprint,
+    /// producing backend and criteria bits.
+    fn front_key(front: &ParetoFront) -> Vec<(u64, &'static str, u64, u64, u64)> {
+        front
+            .points()
+            .iter()
+            .map(|p| {
+                (
+                    p.fingerprint(),
+                    p.backend,
+                    p.evaluation.reliability.to_bits(),
+                    p.evaluation.worst_case_period.to_bits(),
+                    p.evaluation.worst_case_latency.to_bits(),
+                )
+            })
+            .collect()
+    }
+
+    /// Each instance's front as the batch engine cached it equals a fresh
+    /// engine's per-instance solve (which never buckets), bit for bit.
+    fn assert_fronts_match_per_instance_solves(
+        engine: &PortfolioEngine,
+        instances: &[ProblemInstance],
+    ) {
+        for (index, instance) in instances.iter().enumerate() {
+            let batched = engine.cached(instance).expect("batch cached every front");
+            let fresh = PortfolioEngine::default().solve(instance).front;
+            assert_eq!(front_key(&batched), front_key(&fresh), "instance {index}");
+        }
+    }
 
     #[test]
     fn small_batch_reports_consistent_counts() {
         let engine = PortfolioEngine::default().with_threads(1);
-        let driver = BatchDriver::new(BatchConfig {
-            workers: 2,
-            bounds: BoundsPolicy::default(),
-            heterogeneous: false,
-            bucketed: false,
-        });
-        let generator = InstanceGenerator::paper_homogeneous(2024);
-        let report = driver.run(&engine, generator.stream(12));
+        let report = BatchDriver::new(2).run(&engine, paper_homogeneous(2024, 12));
         assert_eq!(report.instances, 12);
         assert!(
             report.feasible_instances > 0,
@@ -671,14 +648,9 @@ mod tests {
     #[test]
     fn duplicate_instances_are_answered_by_the_cache() {
         let engine = PortfolioEngine::default().with_threads(1);
-        let driver = BatchDriver::new(BatchConfig {
-            workers: 1,
-            ..BatchConfig::default()
-        });
-        let generator = InstanceGenerator::paper_homogeneous(7);
-        let mut instances: Vec<ExperimentInstance> = generator.batch(3);
-        instances.extend(generator.batch(3)); // same three again
-        let report = driver.run(&engine, instances);
+        let mut instances = paper_homogeneous(7, 3);
+        instances.extend(paper_homogeneous(7, 3)); // same three again
+        let report = BatchDriver::new(1).run(&engine, instances);
         assert_eq!(report.instances, 6);
         assert_eq!(report.cache_answered, 3);
         assert_eq!(report.cache.hits, 3);
@@ -686,89 +658,77 @@ mod tests {
 
     #[test]
     fn bucketed_batches_match_the_unbucketed_front_for_front() {
-        let generator = InstanceGenerator::paper_homogeneous(31);
-        let instances: Vec<ExperimentInstance> = generator.batch(20);
-        let policy = BoundsPolicy::default();
-        let problems: Vec<ProblemInstance> = instances
-            .iter()
-            .map(|experiment| policy.instance(experiment, false))
-            .collect();
-        // Run the same stream through a bucketed and an unbucketed driver,
-        // then read every instance's front back out of each engine's cache.
-        let run = |bucketed: bool| {
-            let engine = PortfolioEngine::default().with_threads(1);
-            let driver = BatchDriver::new(BatchConfig {
-                workers: 2,
-                bucketed,
-                ..BatchConfig::default()
-            });
-            let report = driver.run(&engine, instances.clone());
-            let fronts: Vec<_> = problems
-                .iter()
-                .map(|problem| engine.solve(problem).front)
-                .collect();
-            (report, fronts)
-        };
-        let (plain_report, plain_fronts) = run(false);
-        let (bucket_report, bucket_fronts) = run(true);
-
-        assert_eq!(plain_report.buckets_dispatched, 0);
-        assert!(bucket_report.buckets_dispatched > 0);
-        assert_eq!(
-            bucket_report.bucketed_instances + bucket_report.remainder_solves,
-            bucket_report.instances
-        );
-        assert_eq!(
-            plain_report.feasible_instances,
-            bucket_report.feasible_instances
-        );
-        // The wins invariant holds in both modes (precomputed mega-kernel
+        // 20 one-shape paper instances: two full buckets through the
+        // mega-kernel, four leftovers on the per-instance path.
+        let instances = paper_homogeneous(31, 20);
+        let engine = PortfolioEngine::default().with_threads(1);
+        let report = BatchDriver::new(2).run(&engine, instances.clone());
+        assert_eq!(report.buckets_dispatched, 2);
+        assert_eq!(report.bucketed_instances, 2 * LANES);
+        assert_eq!(report.remainder_solves, 20 - 2 * LANES);
+        // The wins invariant holds on both paths (precomputed mega-kernel
         // runs are accounted like completed backend runs).
-        for report in [&plain_report, &bucket_report] {
-            let total_wins: usize = report.backend_stats.iter().map(|s| s.wins).sum();
-            assert_eq!(
-                total_wins,
-                report.feasible_instances - report.cache_answered
-            );
-        }
+        let total_wins: usize = report.backend_stats.iter().map(|s| s.wins).sum();
+        assert_eq!(
+            total_wins,
+            report.feasible_instances - report.cache_answered
+        );
+        assert_fronts_match_per_instance_solves(&engine, &instances);
+    }
 
-        // Front-for-front: identical mappings (fingerprints), producing
-        // backends, and criteria, instance by instance.
-        for (plain, bucket) in plain_fronts.iter().zip(&bucket_fronts) {
-            let key = |front: &crate::pareto::ParetoFront| -> Vec<_> {
-                front
-                    .points()
-                    .iter()
-                    .map(|p| {
-                        (
-                            p.fingerprint(),
-                            p.backend,
-                            p.evaluation.reliability.to_bits(),
-                            p.evaluation.worst_case_period.to_bits(),
-                            p.evaluation.worst_case_latency.to_bits(),
-                        )
-                    })
-                    .collect()
-            };
-            assert_eq!(key(plain), key(bucket));
-        }
+    #[test]
+    fn only_full_buckets_take_the_mega_kernel() {
+        // One shape, 10 instances: one full bucket and 2 leftovers.
+        let engine = PortfolioEngine::default().with_threads(1);
+        let report = BatchDriver::new(2).run(&engine, paper_homogeneous(0x5EED, 10));
+        assert_eq!(report.buckets_dispatched, 1);
+        assert_eq!(report.bucketed_instances, LANES);
+        assert_eq!(report.remainder_solves, 10 - LANES);
+
+        // Distinct shapes (the processor count sets the bucket): no bucket
+        // ever fills, and every front equals its per-instance solve.
+        let instances: Vec<ProblemInstance> = InstanceGenerator::paper_homogeneous(0x5EED)
+            .stream(10)
+            .enumerate()
+            .map(|(index, e)| {
+                let platform = Platform::homogeneous(3 + index, 1.0, 1e-5, 1.0, 1e-6, 3)
+                    .expect("valid platform");
+                BoundsPolicy::default().instance(&e.chain, &platform)
+            })
+            .collect();
+        let engine = PortfolioEngine::default().with_threads(1);
+        let report = BatchDriver::new(2).run(&engine, instances.clone());
+        assert_eq!(report.buckets_dispatched, 0);
+        assert_eq!(report.bucketed_instances, 0);
+        assert_eq!(report.remainder_solves, 10);
+        assert_fronts_match_per_instance_solves(&engine, &instances);
+    }
+
+    #[test]
+    fn bucketed_instances_look_up_their_oracle_once() {
+        // Distinct instances share no oracle: two full buckets must report
+        // no oracle-cache hit, like the per-instance path.
+        let engine = PortfolioEngine::default().with_threads(1);
+        let report = BatchDriver::new(2).run(&engine, paper_homogeneous(0x0AC1, 2 * LANES));
+        assert_eq!(report.bucketed_instances, 2 * LANES);
+        assert_eq!(report.oracle_cache.hits, 0);
+        assert_eq!(report.oracle_cache.misses, 2 * LANES as u64);
     }
 
     #[test]
     fn heterogeneous_batches_use_the_heterogeneous_platform() {
         let engine = PortfolioEngine::default().with_threads(1);
-        let driver = BatchDriver::new(BatchConfig {
-            workers: 2,
-            bounds: BoundsPolicy {
-                period_slack: 3.0,
-                latency_slack: 2.0,
-            },
-            heterogeneous: true,
-            bucketed: false,
-        });
-        let generator = InstanceGenerator::paper_heterogeneous(11);
-        let report = driver.run(&engine, generator.stream(6));
+        let bounds = BoundsPolicy {
+            period_slack: 3.0,
+            latency_slack: 2.0,
+        };
+        let instances = InstanceGenerator::paper_heterogeneous(11)
+            .stream(6)
+            .map(|e| bounds.instance(&e.chain, &e.heterogeneous));
+        let report = BatchDriver::new(2).run(&engine, instances);
         assert_eq!(report.instances, 6);
+        // Heterogeneous instances never bucket.
+        assert_eq!(report.remainder_solves, 6);
         // The heterogeneous-only backend must have run.
         assert!(report
             .backend_stats

@@ -2,16 +2,19 @@
 //! instance across worker threads and aggregates their candidates into a
 //! Pareto front.
 
-use crate::backend::{Applicability, Budget, ProblemInstance, SolveContext, SolverBackend};
+use crate::backend::{
+    Applicability, Budget, CandidateMapping, ProblemInstance, SolveContext, SolverBackend,
+};
 use crate::backends::default_backends;
 use crate::cache::{CacheStats, InstanceCache, OracleCache};
 use crate::pareto::{ParetoFront, StreamingFront};
 use rpo_algorithms::DpScratch;
+use rpo_model::IntervalOracle;
 use rpo_obs::{Counter, Histogram};
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// What happened to one backend during a solve.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -22,9 +25,10 @@ pub enum RunStatus {
     Skipped(&'static str),
     /// The time budget expired before the backend was dispatched.
     DeadlineExpired,
-    /// The caller supplied this backend's candidates precomputed (e.g. from
-    /// the batched SoA mega-kernel), so the backend was not dispatched; its
-    /// candidates were re-certified and merged like a completed run's.
+    /// The batch driver supplied this backend's candidates from the batched
+    /// SoA mega-kernel, so the backend was not dispatched; its candidates
+    /// were re-certified and merged like a completed run's, and its time is
+    /// the instance's share of the kernel pass.
     Precomputed,
 }
 
@@ -74,6 +78,16 @@ impl PortfolioOutcome {
 /// micros. The candidates themselves are not carried here — they stream
 /// into the shared [`StreamingFront`] the moment the backend finishes.
 type WorkerResult = (usize, RunStatus, usize, usize, u64);
+
+/// Backend results the batch driver computed outside the race for one
+/// instance (the SoA mega-kernel's Algo-1/Algo-2 lanes), with the oracle
+/// they were computed on, so the solve looks the oracle up only once.
+pub(crate) struct Precomputed {
+    /// The instance's shared oracle, already resolved by the caller.
+    pub(crate) oracle: Arc<IntervalOracle>,
+    /// `(backend name, candidates, time charged to this instance)`.
+    pub(crate) runs: Vec<(&'static str, Vec<CandidateMapping>, Duration)>,
+}
 
 /// A pool of [`DpScratch`] arenas shared across every solve of an engine:
 /// the DP-based backends of a batch reuse allocations across *instances*
@@ -260,25 +274,25 @@ impl PortfolioEngine {
     /// Solves one instance: answers from the cache when possible, otherwise
     /// races all applicable backends in parallel and caches the result.
     pub fn solve(&self, instance: &ProblemInstance) -> PortfolioOutcome {
-        self.solve_inner(instance, self.threads, Vec::new(), None)
+        self.solve_inner(instance, self.threads, None, None)
     }
 
     /// The batch driver's solve: one instance on the calling thread, with
-    /// optionally precomputed backend results. Each `(backend name,
-    /// candidates)` pair replaces that backend's dispatch; the candidates
-    /// take exactly a live backend's path (re-certified through the shared
-    /// oracle, filtered by the instance bounds, merged into the streaming
-    /// front), so the portfolio contract is unchanged. Shape-bucketing uses
-    /// this seam: the SoA mega-kernel solves the Algo-1/Algo-2 DP for a
-    /// whole bucket at once and hands each instance its lane results here,
-    /// while every other backend still races normally. A backend named with
-    /// an *empty* candidate list is still suppressed — the precomputed path
-    /// ran that solver and found nothing, which a rerun could only
-    /// reproduce.
+    /// optionally precomputed backend results. Each precomputed run replaces
+    /// that backend's dispatch; its candidates take exactly a live backend's
+    /// path (re-certified through the shared oracle, filtered by the
+    /// instance bounds, merged into the streaming front), so the portfolio
+    /// contract is unchanged, and its time is recorded like a live run's.
+    /// Shape-bucketing uses this seam: the SoA mega-kernel solves the
+    /// Algo-1/Algo-2 DP for a whole bucket at once and hands each instance
+    /// its lane results here, while every other backend still races
+    /// normally. A backend named with an *empty* candidate list is still
+    /// suppressed — the precomputed path ran that solver and found nothing,
+    /// which a rerun could only reproduce.
     pub(crate) fn solve_inline(
         &self,
         instance: &ProblemInstance,
-        precomputed: Vec<(&'static str, Vec<crate::backend::CandidateMapping>)>,
+        precomputed: Option<Precomputed>,
     ) -> PortfolioOutcome {
         self.solve_inner(instance, 1, precomputed, None)
     }
@@ -295,7 +309,7 @@ impl PortfolioEngine {
         instance: &ProblemInstance,
         deadline: Option<Instant>,
     ) -> PortfolioOutcome {
-        self.solve_inner(instance, self.threads, Vec::new(), deadline)
+        self.solve_inner(instance, self.threads, None, deadline)
     }
 
     /// The cached front for `instance`, if a previous solve stored one (only
@@ -313,7 +327,7 @@ impl PortfolioEngine {
     /// chain-keyed cache, building it outside the lock on a miss (concurrent
     /// batch workers must not serialize on construction; a rare duplicate
     /// build is cheaper than a critical section around it).
-    pub(crate) fn oracle_for(&self, instance: &ProblemInstance) -> Arc<rpo_model::IntervalOracle> {
+    pub(crate) fn oracle_for(&self, instance: &ProblemInstance) -> Arc<IntervalOracle> {
         let cached = self
             .oracles
             .lock()
@@ -336,7 +350,7 @@ impl PortfolioEngine {
         &self,
         instance: &ProblemInstance,
         threads: usize,
-        precomputed: Vec<(&'static str, Vec<crate::backend::CandidateMapping>)>,
+        precomputed: Option<Precomputed>,
         deadline_override: Option<Instant>,
     ) -> PortfolioOutcome {
         if let Some(front) = self.cached(instance) {
@@ -363,6 +377,10 @@ impl PortfolioEngine {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         };
+        let (oracle, precomputed) = match precomputed {
+            Some(Precomputed { oracle, runs }) => (Some(oracle), runs),
+            None => (None, Vec::new()),
+        };
 
         // Applicability pass: fixed backend order. Backends whose results
         // arrive precomputed are not dispatched.
@@ -370,7 +388,7 @@ impl PortfolioEngine {
             .backends
             .iter()
             .map(|backend| {
-                let status = if precomputed.iter().any(|(name, _)| *name == backend.name()) {
+                let status = if precomputed.iter().any(|(name, ..)| *name == backend.name()) {
                     RunStatus::Precomputed
                 } else {
                     match backend.applicability(instance, &self.budget) {
@@ -392,10 +410,11 @@ impl PortfolioEngine {
             .collect();
 
         // One interval-metrics oracle per instance, shared by every backend —
-        // resolved through the chain-keyed cache, so near-duplicate instances
-        // (same chain/platform, different bounds) reuse a previous solve's
-        // oracle instead of rebuilding the Eq. 5–9 precomputation.
-        let oracle = self.oracle_for(instance);
+        // the caller's when it precomputed runs on it, otherwise resolved
+        // through the chain-keyed cache, so near-duplicate instances (same
+        // chain/platform, different bounds) reuse a previous solve's oracle
+        // instead of rebuilding the Eq. 5–9 precomputation.
+        let oracle = oracle.unwrap_or_else(|| self.oracle_for(instance));
 
         // Race the runnable backends: worker threads pull indices from a
         // shared queue, so a slow backend never blocks the others. Feasible
@@ -409,7 +428,7 @@ impl PortfolioEngine {
         // Seed the front with the precomputed results, through the same
         // re-certify → bound-filter → merge pipeline a live backend's
         // candidates take.
-        for (name, mut candidates) in precomputed {
+        for (name, mut candidates, elapsed) in precomputed {
             let total = candidates.len();
             for candidate in &mut candidates {
                 candidate.evaluation = oracle.evaluate(&candidate.mapping);
@@ -419,6 +438,8 @@ impl PortfolioEngine {
             if let Some(index) = self.backends.iter().position(|b| b.name() == name) {
                 runs[index].candidates = total;
                 runs[index].feasible = feasible;
+                runs[index].micros = elapsed.as_micros() as u64;
+                self.backend_obs[index].solve.record(elapsed);
                 self.backend_obs[index].feasible.add(feasible as u64);
             }
             for candidate in candidates {

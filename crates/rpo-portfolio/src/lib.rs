@@ -29,17 +29,15 @@
 //!   `(chain, platform, bounds)`, so repeated solves are O(1) — and the
 //!   chain-keyed [`OracleCache`] that lets near-duplicate instances (same
 //!   chain/platform, different bounds) share one [`rpo_model::IntervalOracle`];
-//! * [`BatchDriver`] ([`batch`]) — streams `rpo-workload` instance batches
-//!   through the engine, one instance per worker thread at a time, and
-//!   reports throughput and per-backend win rates;
-//!   with [`BatchConfig::bucketed`] it shape-buckets homogeneous instances
-//!   through the batched SoA mega-kernel
-//!   ([`rpo_algorithms::solve_batch`]), one instance per SIMD lane, and
-//!   routes everything else down the per-instance remainder path;
-//! * [`BatchDriver::run_churn`] ([`churn`]) — the self-healing mode: one
-//!   live [`rpo_repair::RepairSession`] per instance, replaying a seeded
-//!   platform-churn trace through the graded repair ladder and tallying
-//!   which tier absorbed each event.
+//! * [`BatchDriver`] ([`batch`]) — streams [`ProblemInstance`]s through the
+//!   engine, one instance per worker thread at a time, and reports
+//!   throughput and per-backend win rates; every full `LANES`-wide bucket of
+//!   same-shape homogeneous instances runs its Algo-1/Algo-2 DP through the
+//!   batched SoA mega-kernel ([`rpo_algorithms::solve_batch`]), one instance
+//!   per SIMD lane, and everything else takes the per-instance path.
+//!
+//! The crate only solves: generating instances (`rpo-workload`) and
+//! replaying platform churn (`rpo-repair`) live elsewhere.
 //!
 //! ```
 //! use rpo_model::{Platform, TaskChain};
@@ -62,7 +60,6 @@ pub mod backend;
 pub mod backends;
 pub mod batch;
 pub mod cache;
-pub mod churn;
 pub mod engine;
 pub mod pareto;
 
@@ -70,8 +67,7 @@ pub use backend::{
     Applicability, Budget, CandidateMapping, ProblemInstance, SolveContext, SolverBackend,
 };
 pub use backends::default_backends;
-pub use batch::{BackendStats, BatchConfig, BatchDriver, BatchReport, BoundsPolicy};
+pub use batch::{BackendStats, BatchDriver, BatchReport, BoundsPolicy};
 pub use cache::{CacheStats, InstanceCache, OracleCache};
-pub use churn::{ChurnConfig, ChurnReport};
 pub use engine::{BackendRun, PortfolioEngine, PortfolioOutcome, RunStatus};
 pub use pareto::{ParetoFront, StreamingFront};

@@ -59,12 +59,18 @@
 //! `rpo-sim`'s fault-injecting Monte-Carlo with this crate's ladder as the
 //! repair callback — kill processors mid-run, repair live, and read the
 //! recovered reliability off the per-segment report.
+//!
+//! At batch scale, [`replay_churn`] opens one session per `(chain,
+//! platform)` pair, replays a seeded platform-churn trace through each, and
+//! tallies which tier absorbed every event.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod churn;
 mod fault_sim;
 mod session;
 
+pub use churn::{replay_churn, ChurnConfig, ChurnReport};
 pub use fault_sim::monte_carlo_with_repair;
 pub use session::{RepairReport, RepairSession, RepairTier};

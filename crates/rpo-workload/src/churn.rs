@@ -12,7 +12,7 @@
 //! accounts for the id shifts caused by the removals before it, so a consumer
 //! can apply the deltas left-to-right without any bookkeeping. The same trace
 //! drives both the fault-injecting Monte-Carlo (`rpo-sim`'s `FaultPlan`, via
-//! [`ChurnTrace::fractions`]) and the portfolio churn-replay bench.
+//! [`ChurnTrace::fractions`]) and `rpo-repair`'s churn replay.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;

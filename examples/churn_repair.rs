@@ -16,8 +16,7 @@
 //! ```
 
 use pipelined_rt::model::PlatformDelta;
-use pipelined_rt::portfolio::{BatchDriver, ChurnConfig};
-use pipelined_rt::repair::{monte_carlo_with_repair, RepairSession};
+use pipelined_rt::repair::{monte_carlo_with_repair, replay_churn, ChurnConfig, RepairSession};
 use pipelined_rt::sim::{FaultEvent, FaultPlan, MonteCarloConfig};
 use pipelined_rt::workload::{ChurnSpec, ChurnTrace, InstanceGenerator};
 
@@ -109,8 +108,11 @@ fn main() {
         spec,
         ..ChurnConfig::default()
     };
-    let generator = InstanceGenerator::paper_homogeneous(7);
-    let replay = BatchDriver::default().run_churn(&churn, generator.stream(20));
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let sessions = InstanceGenerator::paper_homogeneous(7)
+        .stream(20)
+        .map(|experiment| (experiment.chain, experiment.homogeneous));
+    let replay = replay_churn(&churn, workers, sessions);
     println!("\n{replay}");
     assert_eq!(replay.unrepaired, 0);
 }

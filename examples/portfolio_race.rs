@@ -13,7 +13,7 @@
 //! ```
 
 use pipelined_rt::portfolio::{
-    BatchConfig, BatchDriver, BoundsPolicy, Budget, PortfolioEngine, ProblemInstance, RunStatus,
+    BatchDriver, BoundsPolicy, Budget, PortfolioEngine, ProblemInstance, RunStatus,
 };
 use pipelined_rt::workload::InstanceGenerator;
 
@@ -29,41 +29,33 @@ fn main() {
     };
     let engine =
         PortfolioEngine::new(pipelined_rt::portfolio::default_backends(), budget).with_threads(1); // batch-level parallelism saturates the cores
-    let driver = BatchDriver::new(BatchConfig {
-        bounds: BoundsPolicy {
-            period_slack: 1.6,
-            latency_slack: 1.25,
-        },
-        ..BatchConfig::default()
-    });
-
+    let bounds = BoundsPolicy {
+        period_slack: 1.6,
+        latency_slack: 1.25,
+    };
     let generator = InstanceGenerator::paper_homogeneous(2024);
+    let instance = |index: usize| {
+        let experiment = generator.instance(index);
+        bounds.instance(&experiment.chain, &experiment.homogeneous)
+    };
+
     println!(
         "racing {INSTANCES} paper-style instances over backends {:?}...",
         engine.backend_names()
     );
-    let report = driver.run(&engine, generator.stream(INSTANCES));
+    let report = BatchDriver::default().run(&engine, (0..INSTANCES).map(&instance));
     println!("\n{report}");
 
     // Inspect one sample instance in detail, on a cold-cache engine so the
     // per-backend run census is visible (the batch engine would answer from
     // its cache).
-    let sample = BoundsPolicy {
-        period_slack: 1.6,
-        latency_slack: 1.25,
-    }
-    .instance(&generator.instance(0), false);
     let inspect_engine = PortfolioEngine::new(pipelined_rt::portfolio::default_backends(), budget);
-    inspect(&inspect_engine, &sample);
+    inspect(&inspect_engine, &instance(0));
 
     // Structural sanity: re-solve a handful of instances and check the
     // Pareto front invariant (the test-suite asserts this too).
     for index in 0..10 {
-        let instance = BoundsPolicy {
-            period_slack: 1.6,
-            latency_slack: 1.25,
-        }
-        .instance(&generator.instance(index), false);
+        let instance = instance(index);
         let outcome = engine.solve(&instance);
         assert!(
             outcome.front.is_mutually_non_dominated(),

@@ -23,7 +23,7 @@
 //! | [`algorithms`] | Algorithms 1–4, Algo-Alloc, the Section 7 heuristics, exact solvers |
 //! | [`sim`] | discrete-event Monte-Carlo failure-injection simulator |
 //! | [`workload`] | seeded random instance generators matching the paper's setup |
-//! | [`repair`] | self-healing pipeline: platform deltas, graded mapping repair, fault-injected simulation |
+//! | [`repair`] | self-healing pipeline: platform deltas, graded mapping repair, fault-injected simulation, churn replay |
 //! | [`portfolio`] | parallel solver-portfolio engine: backend racing, Pareto aggregation, instance cache, batch driver |
 //! | [`serve`] | long-lived solver service: JSON-lines facades, bounded ingress, deadline shedding, request coalescing |
 //! | [`experiments`] | the harness regenerating Figures 6–15 |

@@ -2,8 +2,8 @@
 //! instance *batches*, the lane-major kernel must agree with the
 //! per-instance chunked kernel — same feasibility verdicts, reliabilities
 //! within `1e-12`, identical reconstructed mappings — across every bucket
-//! width (1, LANES−1, LANES, 3·LANES+1), and the shape-bucketed batch
-//! driver must reproduce the unbucketed run front-for-front.
+//! width (1, LANES−1, LANES, 3·LANES+1), and the batch driver, which
+//! buckets by itself, must reproduce per-instance solves front-for-front.
 //!
 //! Reuses the ChaCha8 harness style of `tests/kernel.rs`: each case is
 //! generated from its own seed, and a failing case re-panics with the seed
@@ -13,9 +13,7 @@ use pipelined_rt::algorithms::{
     reliability_dp_with_kernel, solve_batch, BatchLane, BatchScratch, DpKernel, LANES,
 };
 use pipelined_rt::model::{IntervalOracle, Platform, TaskChain};
-use pipelined_rt::portfolio::{
-    BatchConfig, BatchDriver, BoundsPolicy, PortfolioEngine, ProblemInstance,
-};
+use pipelined_rt::portfolio::{BatchDriver, BoundsPolicy, PortfolioEngine, ProblemInstance};
 use pipelined_rt::workload::InstanceGenerator;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -246,25 +244,24 @@ fn padded_mixed_length_batches_match_the_per_instance_chunked_kernel() {
     );
 }
 
-/// The shape-bucketed batch driver — full buckets through the mega-kernel,
-/// partial buckets flushed at stream end, heterogeneous instances down the
-/// per-instance remainder loop — reproduces the unbucketed run's Pareto
-/// fronts exactly, front-for-front, on a mixed stream.
+/// The batch driver — full buckets through the mega-kernel, leftovers of
+/// partial buckets and heterogeneous instances down the per-instance path —
+/// reproduces a fresh engine's per-instance solve (which never buckets)
+/// exactly, front-for-front, on a mixed stream.
 #[test]
 fn bucketed_driver_equals_the_unbucketed_run_front_for_front() {
     let policy = BoundsPolicy::default();
-    // 2 full LANES-wide buckets' worth of homogeneous paper instances (plus
-    // stragglers, since paper shapes vary) interleaved with heterogeneous
-    // remainder instances.
+    // 2 full LANES-wide buckets' worth of homogeneous paper instances (all
+    // one shape) plus 3 stragglers, interleaved with heterogeneous instances.
     let hom: Vec<ProblemInstance> = InstanceGenerator::paper_homogeneous(0xBEEF)
         .batch(2 * LANES + 3)
         .iter()
-        .map(|experiment| policy.instance(experiment, false))
+        .map(|experiment| policy.instance(&experiment.chain, &experiment.homogeneous))
         .collect();
     let het: Vec<ProblemInstance> = InstanceGenerator::paper_heterogeneous(0xFACE)
         .batch(4)
         .iter()
-        .map(|experiment| policy.instance(experiment, true))
+        .map(|experiment| policy.instance(&experiment.chain, &experiment.heterogeneous))
         .collect();
     let mut instances = Vec::new();
     for (index, instance) in hom.into_iter().enumerate() {
@@ -274,42 +271,25 @@ fn bucketed_driver_equals_the_unbucketed_run_front_for_front() {
         }
     }
 
-    let run = |bucketed: bool| {
-        let engine = PortfolioEngine::default().with_threads(1);
-        let driver = BatchDriver::new(BatchConfig {
-            workers: 3,
-            bucketed,
-            ..BatchConfig::default()
-        });
-        let report = driver.run_instances(&engine, instances.clone());
-        let fronts: Vec<_> = instances
-            .iter()
-            .map(|instance| engine.solve(instance).front)
-            .collect();
-        (report, fronts)
-    };
-    let (plain_report, plain_fronts) = run(false);
-    let (bucket_report, bucket_fronts) = run(true);
-
-    assert_eq!(plain_report.buckets_dispatched, 0);
-    assert!(
-        bucket_report.buckets_dispatched > 0,
-        "same-shape homogeneous instances must form buckets"
+    let engine = PortfolioEngine::default().with_threads(1);
+    let report = BatchDriver::new(3).run(&engine, instances.clone());
+    assert_eq!(
+        report.buckets_dispatched, 2,
+        "same-shape homogeneous instances must fill buckets"
     );
     assert_eq!(
-        bucket_report.remainder_solves, 4,
-        "every heterogeneous instance takes the remainder path"
+        report.remainder_solves,
+        4 + 3,
+        "the 4 heterogeneous instances and the 3 stragglers of the unfilled \
+         bucket take the per-instance path"
     );
     assert_eq!(
-        bucket_report.bucketed_instances + bucket_report.remainder_solves,
-        bucket_report.instances
-    );
-    assert_eq!(
-        plain_report.feasible_instances,
-        bucket_report.feasible_instances
+        report.bucketed_instances + report.remainder_solves,
+        report.instances
     );
 
-    for (index, (plain, bucket)) in plain_fronts.iter().zip(&bucket_fronts).enumerate() {
+    let mut feasible = 0;
+    for (index, instance) in instances.iter().enumerate() {
         let key = |front: &pipelined_rt::portfolio::ParetoFront| -> Vec<_> {
             front
                 .points()
@@ -325,10 +305,16 @@ fn bucketed_driver_equals_the_unbucketed_run_front_for_front() {
                 })
                 .collect()
         };
+        let batched = engine
+            .cached(instance)
+            .expect("the batch cached every front");
+        let fresh = PortfolioEngine::default().solve(instance).front;
+        feasible += usize::from(!fresh.is_empty());
         assert_eq!(
-            key(plain),
-            key(bucket),
-            "instance {index}: bucketed front diverged from the unbucketed one"
+            key(&batched),
+            key(&fresh),
+            "instance {index}: the batch front diverged from the per-instance one"
         );
     }
+    assert_eq!(report.feasible_instances, feasible);
 }

@@ -8,7 +8,9 @@
 //! per-batch delta embedded in a [`BatchReport`].
 
 use pipelined_rt::obs::{self, Registry, SpanRecorder};
-use pipelined_rt::portfolio::{BatchConfig, BatchDriver, BatchReport, PortfolioEngine};
+use pipelined_rt::portfolio::{
+    BatchDriver, BatchReport, BoundsPolicy, PortfolioEngine, ProblemInstance,
+};
 use pipelined_rt::workload::InstanceGenerator;
 use std::sync::Mutex;
 
@@ -17,11 +19,19 @@ use std::sync::Mutex;
 /// start/end window.
 static BATCH_LOCK: Mutex<()> = Mutex::new(());
 
+/// `count` paper instances on their homogeneous platforms, under the
+/// default bounds.
+fn paper_instances(seed: u64, count: usize) -> impl Iterator<Item = ProblemInstance> + Send {
+    InstanceGenerator::paper_homogeneous(seed)
+        .stream(count)
+        .map(|experiment| {
+            BoundsPolicy::default().instance(&experiment.chain, &experiment.homogeneous)
+        })
+}
+
 fn run_small_batch(seed: u64, instances: usize) -> BatchReport {
     let engine = PortfolioEngine::default().with_threads(1);
-    let driver = BatchDriver::new(BatchConfig::default());
-    let generator = InstanceGenerator::paper_homogeneous(seed);
-    driver.run(&engine, generator.stream(instances))
+    BatchDriver::default().run(&engine, paper_instances(seed, instances))
 }
 
 #[test]
@@ -145,17 +155,11 @@ fn bucketed_batch_records_the_mega_kernel_metrics() {
         .lock()
         .unwrap_or_else(|poison| poison.into_inner());
     let engine = PortfolioEngine::default().with_threads(1);
-    let driver = BatchDriver::new(BatchConfig {
-        workers: 2,
-        bucketed: true,
-        ..BatchConfig::default()
-    });
-    let generator = InstanceGenerator::paper_homogeneous(0x0B54);
-    let report = driver.run(&engine, generator.stream(10));
-    assert_eq!(report.instances, 10);
-    // Every homogeneous paper instance is bucket-eligible.
+    // Two full buckets: every homogeneous paper instance shares one shape.
+    let report = BatchDriver::default().run(&engine, paper_instances(0x0B54, 16));
+    assert_eq!(report.instances, 16);
     assert!(report.buckets_dispatched > 0);
-    assert_eq!(report.bucketed_instances, 10);
+    assert_eq!(report.bucketed_instances, 16);
     assert_eq!(report.remainder_solves, 0);
     let metrics = &report.metrics;
     assert_eq!(
@@ -187,6 +191,31 @@ fn bucketed_batch_records_the_mega_kernel_metrics() {
         .histogram("batch.lane_occupancy")
         .expect("batch.lane_occupancy histogram in the embedded delta");
     assert_eq!(kernel_span.count, occupancy.count);
+}
+
+#[test]
+fn bucketed_runs_are_timed_and_sampled_like_solved_ones() {
+    let _guard = BATCH_LOCK
+        .lock()
+        .unwrap_or_else(|poison| poison.into_inner());
+    let engine = PortfolioEngine::default().with_threads(1);
+    let report = BatchDriver::new(2).run(&engine, paper_instances(0x0B55, 16));
+    assert_eq!(report.bucketed_instances, 16);
+    for name in ["Algo-1", "Algo-2"] {
+        let stats = report
+            .backend_stats
+            .iter()
+            .find(|s| s.backend == name)
+            .unwrap_or_else(|| panic!("{name} missing from the census"));
+        assert_eq!(stats.runs, 16);
+        // Each lane is charged its share of the mega-kernel pass.
+        assert!(stats.total_micros > 0, "{name}: no time recorded");
+        let histogram = report
+            .metrics
+            .histogram(&format!("backend.solve.{name}"))
+            .unwrap_or_else(|| panic!("missing backend.solve.{name}"));
+        assert_eq!(histogram.count as usize, stats.runs, "{name}");
+    }
 }
 
 #[test]

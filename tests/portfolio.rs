@@ -4,8 +4,8 @@
 use pipelined_rt::algorithms::exact;
 use pipelined_rt::model::{MappingEvaluation, Platform, TaskChain};
 use pipelined_rt::portfolio::{
-    default_backends, BatchConfig, BatchDriver, BoundsPolicy, Budget, CandidateMapping,
-    PortfolioEngine, PortfolioOutcome, ProblemInstance,
+    default_backends, BatchDriver, BoundsPolicy, Budget, CandidateMapping, PortfolioEngine,
+    PortfolioOutcome, ProblemInstance,
 };
 use pipelined_rt::workload::InstanceGenerator;
 use rand::{Rng, SeedableRng};
@@ -132,7 +132,8 @@ fn cache_and_determinism_same_seed_identical_front() {
         period_slack: 1.6,
         latency_slack: 1.25,
     };
-    let instance = bounds.instance(&generator.instance(4), false);
+    let experiment = generator.instance(4);
+    let instance = bounds.instance(&experiment.chain, &experiment.homogeneous);
 
     // Two independent engines agree (no shared state).
     let engine_a = PortfolioEngine::default();
@@ -149,7 +150,8 @@ fn cache_and_determinism_same_seed_identical_front() {
     assert_eq!(engine_a.cache_stats().hits, 1);
 
     // Regenerating the same seed gives the same instance, hence a cache hit.
-    let regenerated = bounds.instance(&InstanceGenerator::paper_homogeneous(99).instance(4), false);
+    let experiment = InstanceGenerator::paper_homogeneous(99).instance(4);
+    let regenerated = bounds.instance(&experiment.chain, &experiment.homogeneous);
     assert_eq!(instance, regenerated);
     let rehit = engine_a.solve(&regenerated);
     assert!(rehit.from_cache);
@@ -166,15 +168,15 @@ fn batch_races_at_least_five_backends_with_non_dominated_fronts() {
         ..Budget::default()
     };
     let engine = PortfolioEngine::new(default_backends(), budget).with_threads(1);
-    let driver = BatchDriver::new(BatchConfig {
-        bounds: BoundsPolicy {
-            period_slack: 1.6,
-            latency_slack: 1.25,
-        },
-        ..BatchConfig::default()
-    });
-    let generator = InstanceGenerator::paper_homogeneous(2024);
-    let report = driver.run(&engine, generator.stream(20));
+    let bounds = BoundsPolicy {
+        period_slack: 1.6,
+        latency_slack: 1.25,
+    };
+    let instances: Vec<ProblemInstance> = InstanceGenerator::paper_homogeneous(2024)
+        .stream(20)
+        .map(|experiment| bounds.instance(&experiment.chain, &experiment.homogeneous))
+        .collect();
+    let report = BatchDriver::default().run(&engine, instances.clone());
     assert_eq!(report.instances, 20);
     assert!(report.feasible_instances > 0);
     assert!(report.throughput() > 0.0);
@@ -182,13 +184,8 @@ fn batch_races_at_least_five_backends_with_non_dominated_fronts() {
     assert!(backends_run >= 5, "only {backends_run} backends ran");
 
     // Every front produced under this configuration is non-dominated.
-    let bounds = BoundsPolicy {
-        period_slack: 1.6,
-        latency_slack: 1.25,
-    };
-    for index in 0..20 {
-        let instance = bounds.instance(&generator.instance(index), false);
-        let outcome = engine.solve(&instance);
+    for (index, instance) in instances.iter().enumerate() {
+        let outcome = engine.solve(instance);
         assert!(
             outcome.front.is_mutually_non_dominated(),
             "instance {index}"
