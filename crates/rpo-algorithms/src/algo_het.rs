@@ -86,8 +86,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::algo1::{DpKernel, OptimalMapping};
 use crate::alloc_het::algo_alloc_heterogeneous;
-use crate::heur_l::heur_l_partition;
-use crate::heur_p::heur_p_partition;
+use crate::heur_l::heur_l_partitions;
+use crate::heur_p::heur_p_partitions;
 use crate::{validate_bound, AlgoError, Result};
 
 /// Largest class count the exact DP accepts; beyond it [`algo_het`] falls
@@ -261,11 +261,13 @@ pub(crate) fn greedy_het_bounded(
     bound: f64,
     latency_bound: f64,
 ) -> Result<OptimalMapping> {
+    let max_intervals = oracle.len().min(oracle.num_processors());
+    let heur_l = heur_l_partitions(oracle, max_intervals);
+    let heur_p = heur_p_partitions(oracle, max_intervals);
     let mut best: Option<OptimalMapping> = None;
-    for num_intervals in 1..=oracle.len().min(oracle.num_processors()) {
-        for partition_fn in [heur_l_partition, heur_p_partition] {
-            let partition = partition_fn(oracle, num_intervals);
-            let Ok(mapping) = algo_alloc_heterogeneous(oracle, chain, platform, &partition, bound)
+    for (l, p) in heur_l.iter().zip(&heur_p) {
+        for partition in [l, p] {
+            let Ok(mapping) = algo_alloc_heterogeneous(oracle, chain, platform, partition, bound)
             else {
                 continue;
             };

@@ -2,23 +2,28 @@
 //!
 //! To split the chain into `m` intervals, Heur-L cuts the chain after the
 //! `m − 1` tasks with the smallest output-communication costs, so that the
-//! total communication added to the latency is as small as possible.
+//! total communication added to the latency is as small as possible. The
+//! cuts for `m` intervals are a prefix of one sorted candidate list, so
+//! [`heur_l_partitions`] sorts once and grows the cut set by one per `m`.
 
 use rpo_model::{IntervalOracle, IntervalPartition};
 
-/// Computes the Heur-L partition of the oracle's chain into exactly
-/// `num_intervals` intervals, reading the boundary communication costs from
-/// the [`IntervalOracle`].
+/// The Heur-L partitions of the oracle's chain into `1, 2, …,
+/// max_intervals` intervals (element `m − 1` has `m` intervals), reading
+/// the boundary communication costs from the [`IntervalOracle`].
 ///
 /// # Panics
 ///
-/// Panics if `num_intervals` is zero or exceeds the number of tasks.
-pub fn heur_l_partition(oracle: &IntervalOracle, num_intervals: usize) -> IntervalPartition {
+/// Panics if `max_intervals` exceeds the number of tasks.
+pub fn heur_l_partitions(oracle: &IntervalOracle, max_intervals: usize) -> Vec<IntervalPartition> {
     let n = oracle.len();
     assert!(
-        (1..=n).contains(&num_intervals),
-        "number of intervals must be within 1..={n}, got {num_intervals}"
+        max_intervals <= n,
+        "number of intervals must be within 1..={n}, got {max_intervals}"
     );
+    if max_intervals == 0 {
+        return Vec::new();
+    }
     // Candidate cut points are after tasks 0 .. n-2; sort them by increasing
     // output-communication cost (ties broken by position, as in the paper's
     // "increasing order of placement in the chain").
@@ -30,10 +35,20 @@ pub fn heur_l_partition(oracle: &IntervalOracle, num_intervals: usize) -> Interv
             .expect("finite communication costs")
             .then(a.cmp(&b))
     });
-    let mut cuts: Vec<usize> = candidates.into_iter().take(num_intervals - 1).collect();
-    cuts.sort_unstable();
-    IntervalPartition::from_cut_points(&cuts, n)
-        .expect("cut points taken from 0..n-1 always form a valid partition")
+    let mut cuts: Vec<usize> = Vec::with_capacity(max_intervals - 1);
+    let mut partitions = Vec::with_capacity(max_intervals);
+    for m in 1..=max_intervals {
+        if m > 1 {
+            // The (m − 1)-th cheapest cut joins the chain-ordered cut set.
+            let cut = candidates[m - 2];
+            cuts.insert(cuts.partition_point(|&c| c < cut), cut);
+        }
+        partitions.push(
+            IntervalPartition::from_cut_points(&cuts, n)
+                .expect("cut points taken from 0..n-1 always form a valid partition"),
+        );
+    }
+    partitions
 }
 
 #[cfg(test)]
@@ -41,10 +56,16 @@ mod tests {
     use super::*;
     use rpo_model::{Platform, TaskChain};
 
-    /// Heur-L on a fresh oracle (the platform does not affect the cuts).
-    fn heur_l(c: &TaskChain, num_intervals: usize) -> IntervalPartition {
+    /// Every Heur-L partition up to `max_intervals`, on a fresh oracle (the
+    /// platform does not affect the cuts).
+    fn partitions(c: &TaskChain, max_intervals: usize) -> Vec<IntervalPartition> {
         let platform = Platform::homogeneous(1, 1.0, 1e-3, 1.0, 1e-4, 1).unwrap();
-        heur_l_partition(&IntervalOracle::new(c, &platform), num_intervals)
+        heur_l_partitions(&IntervalOracle::new(c, &platform), max_intervals)
+    }
+
+    /// The Heur-L partition into exactly `num_intervals` intervals.
+    fn heur_l(c: &TaskChain, num_intervals: usize) -> IntervalPartition {
+        partitions(c, num_intervals).swap_remove(num_intervals - 1)
     }
 
     fn chain() -> TaskChain {
@@ -116,14 +137,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "number of intervals must be within")]
-    fn zero_intervals_panics() {
-        heur_l(&chain(), 0);
+    fn no_intervals_is_an_empty_list() {
+        assert!(partitions(&chain(), 0).is_empty());
     }
 
     #[test]
     #[should_panic(expected = "number of intervals must be within")]
     fn too_many_intervals_panics() {
-        heur_l(&chain(), 6);
+        partitions(&chain(), 6);
     }
 }

@@ -2,68 +2,82 @@
 //!
 //! To split the chain into `m` intervals, Heur-P balances the work of the
 //! intervals with a dynamic program minimizing the period of the partition:
-//! `F(j, k)` is the best achievable period when grouping the first `j` tasks
+//! `F(k, j)` is the best achievable period when grouping the first `j` tasks
 //! into `k` intervals, where the contribution of an interval ending at task
 //! `j` is `max(Σ w, o_j)` (its computation time at unit speed and its
 //! outgoing communication).
+//!
+//! No entry `F(k, j)` depends on how many intervals the caller finally
+//! wants, so [`heur_p_partitions`] fills the table once, up to the largest
+//! interval count, and traces it back once per count: every partition the
+//! heuristics sweep costs one `O(m·n²)` fill instead of one per `m`.
 
 use rpo_model::{IntervalOracle, IntervalPartition};
 
-/// Computes the Heur-P partition of the oracle's chain into exactly
-/// `num_intervals` intervals, reading the interval works and boundary costs
-/// from the [`IntervalOracle`].
+/// The Heur-P partitions of the oracle's chain into `1, 2, …,
+/// max_intervals` intervals (element `m − 1` has `m` intervals), reading
+/// the interval works and boundary costs from the [`IntervalOracle`].
 ///
 /// # Panics
 ///
-/// Panics if `num_intervals` is zero or exceeds the number of tasks.
-pub fn heur_p_partition(oracle: &IntervalOracle, num_intervals: usize) -> IntervalPartition {
-    balanced_partition(oracle, num_intervals).0
-}
-
-/// The dynamic program behind [`heur_p_partition`], also returning the
-/// optimal period metric (`max` over intervals of `max(Σ w, o_last)`).
-fn balanced_partition(oracle: &IntervalOracle, num_intervals: usize) -> (IntervalPartition, f64) {
+/// Panics if `max_intervals` exceeds the number of tasks.
+pub fn heur_p_partitions(oracle: &IntervalOracle, max_intervals: usize) -> Vec<IntervalPartition> {
     let n = oracle.len();
-    let interval_cost =
-        |first: usize, last: usize| oracle.work(first, last).max(oracle.output_size(last));
     assert!(
-        (1..=n).contains(&num_intervals),
-        "number of intervals must be within 1..={n}, got {num_intervals}"
+        max_intervals <= n,
+        "number of intervals must be within 1..={n}, got {max_intervals}"
     );
-
-    // f[j][k]: minimal period for the first j tasks (1-based count) in k intervals.
-    // pred[j][k]: value j' (task count of the prefix) realizing the optimum.
-    let mut f = vec![vec![f64::INFINITY; num_intervals + 1]; n + 1];
-    let mut pred = vec![vec![0usize; num_intervals + 1]; n + 1];
-    for (j, row) in f.iter_mut().enumerate().take(n + 1).skip(1) {
-        row[1] = interval_cost(0, j - 1);
+    if max_intervals == 0 {
+        return Vec::new();
     }
-    for k in 2..=num_intervals {
+    let work_prefix = oracle.work_prefix();
+
+    // Row k − 1 of the flat k-major tables holds `F(k, j)` for j = 0..=n
+    // (∞ where fewer than k tasks cannot form k intervals) and the prefix
+    // length j' realizing it, so the inner loop over j' reads one
+    // contiguous row.
+    let stride = n + 1;
+    let mut f = vec![f64::INFINITY; max_intervals * stride];
+    let mut pred = vec![0u32; max_intervals * stride];
+    for (j, value) in f[..stride].iter_mut().enumerate().skip(1) {
+        *value = oracle.work(0, j - 1).max(oracle.output_size(j - 1));
+    }
+    for k in 2..=max_intervals {
+        let (done, rest) = f.split_at_mut((k - 1) * stride);
+        let prev_row = &done[(k - 2) * stride..];
+        let row = &mut rest[..stride];
+        let pred_row = &mut pred[(k - 1) * stride..k * stride];
         for j in k..=n {
+            let (end, output) = (work_prefix[j], oracle.output_size(j - 1));
+            let (mut best, mut arg) = (f64::INFINITY, 0);
             for prev in (k - 1)..j {
-                let value = f[prev][k - 1].max(interval_cost(prev, j - 1));
-                if value < f[j][k] {
-                    f[j][k] = value;
-                    pred[j][k] = prev;
+                // `oracle.work(prev, j − 1)`, with the row's end hoisted.
+                let value = prev_row[prev].max((end - work_prefix[prev]).max(output));
+                if value < best {
+                    best = value;
+                    arg = prev;
                 }
             }
+            row[j] = best;
+            pred_row[j] = arg as u32;
         }
     }
 
-    // Traceback the cut points.
-    let mut cuts = Vec::with_capacity(num_intervals - 1);
-    let mut j = n;
-    let mut k = num_intervals;
-    while k > 1 {
-        let prev = pred[j][k];
-        cuts.push(prev - 1); // cut after task index prev-1 (0-based)
-        j = prev;
-        k -= 1;
-    }
-    cuts.reverse();
-    let partition = IntervalPartition::from_cut_points(&cuts, n)
-        .expect("dynamic-programming traceback produces a valid partition");
-    (partition, f[n][num_intervals])
+    (1..=max_intervals)
+        .map(|m| {
+            // cuts[k − 2] is the cut (after task j' − 1, 0-based) that
+            // closes the first k − 1 intervals.
+            let mut cuts = vec![0; m - 1];
+            let mut j = n;
+            for k in (2..=m).rev() {
+                let prev = pred[(k - 1) * stride + j] as usize;
+                cuts[k - 2] = prev - 1;
+                j = prev;
+            }
+            IntervalPartition::from_cut_points(&cuts, n)
+                .expect("dynamic-programming traceback produces a valid partition")
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -71,10 +85,21 @@ mod tests {
     use super::*;
     use rpo_model::{Platform, TaskChain};
 
-    /// A fresh oracle (the platform does not affect the partitions).
-    fn oracle(c: &TaskChain) -> IntervalOracle {
+    /// Every Heur-P partition of `c` up to `max_intervals`, on a fresh
+    /// oracle (the platform does not affect the partitions).
+    fn partitions(c: &TaskChain, max_intervals: usize) -> Vec<IntervalPartition> {
         let platform = Platform::homogeneous(1, 1.0, 1e-3, 1.0, 1e-4, 1).unwrap();
-        IntervalOracle::new(c, &platform)
+        heur_p_partitions(&IntervalOracle::new(c, &platform), max_intervals)
+    }
+
+    /// The period metric Heur-P minimizes: `max` over intervals of
+    /// `max(Σ w, o_last)`.
+    fn period(c: &TaskChain, partition: &IntervalPartition) -> f64 {
+        partition
+            .intervals()
+            .iter()
+            .map(|itv| itv.work(c).max(itv.output_size(c)))
+            .fold(0.0, f64::max)
     }
 
     fn chain() -> TaskChain {
@@ -98,12 +123,7 @@ mod tests {
             }
             let cuts: Vec<usize> = (0..n - 1).filter(|&i| mask & (1 << i) != 0).collect();
             let p = IntervalPartition::from_cut_points(&cuts, n).unwrap();
-            let period = p
-                .intervals()
-                .iter()
-                .map(|itv| itv.work(c).max(itv.output_size(c)))
-                .fold(0.0, f64::max);
-            best = best.min(period);
+            best = best.min(period(c, &p));
         }
         best
     }
@@ -111,38 +131,32 @@ mod tests {
     #[test]
     fn one_interval_is_the_whole_chain() {
         let c = chain();
-        let (p, period) = balanced_partition(&oracle(&c), 1);
+        let p = &partitions(&c, 1)[0];
         assert_eq!(p.len(), 1);
-        assert_eq!(period, 150.0);
+        assert_eq!(period(&c, p), 150.0);
     }
 
     #[test]
     fn dp_matches_brute_force_for_every_interval_count() {
         let c = chain();
-        for m in 1..=c.len() {
-            let (partition, period) = balanced_partition(&oracle(&c), m);
+        for (index, partition) in partitions(&c, c.len()).iter().enumerate() {
+            let m = index + 1;
             assert_eq!(partition.len(), m);
             let brute = brute_force_period(&c, m);
+            let dp = period(&c, partition);
             assert!(
-                (period - brute).abs() < 1e-12,
-                "m = {m}: dp period {period} vs brute force {brute}"
+                (dp - brute).abs() < 1e-12,
+                "m = {m}: dp period {dp} vs brute force {brute}"
             );
-            // The reported period matches the partition it returns.
-            let actual = partition
-                .intervals()
-                .iter()
-                .map(|itv| itv.work(&c).max(itv.output_size(&c)))
-                .fold(0.0, f64::max);
-            assert!((actual - period).abs() < 1e-12);
         }
     }
 
     #[test]
     fn balanced_split_of_uniform_chain() {
         let c = TaskChain::from_pairs(&[(10.0, 1.0); 6]).unwrap();
-        let (p, period) = balanced_partition(&oracle(&c), 3);
+        let p = &partitions(&c, 3)[2];
         assert_eq!(p.len(), 3);
-        assert_eq!(period, 20.0);
+        assert_eq!(period(&c, p), 20.0);
         for itv in p.intervals() {
             assert_eq!(itv.len(), 2);
         }
@@ -152,8 +166,8 @@ mod tests {
     fn more_intervals_never_increase_the_period_metric() {
         let c = chain();
         let mut previous = f64::INFINITY;
-        for m in 1..=c.len() {
-            let (_, period) = balanced_partition(&oracle(&c), m);
+        for partition in partitions(&c, c.len()) {
+            let period = period(&c, &partition);
             assert!(period <= previous + 1e-12);
             previous = period;
         }
@@ -163,15 +177,20 @@ mod tests {
     fn communication_can_dominate_the_period() {
         // A huge output communication on task 0 dominates any split that cuts there.
         let c = TaskChain::from_pairs(&[(1.0, 100.0), (1.0, 1.0), (1.0, 1.0)]).unwrap();
-        let (p, period) = balanced_partition(&oracle(&c), 2);
+        let p = &partitions(&c, 2)[1];
         // Best: avoid cutting after task 0; cut after task 1 instead.
         assert_eq!(p.cut_points(), vec![1]);
-        assert!((period - 2.0).abs() < 1e-12);
+        assert!((period(&c, p) - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn no_intervals_is_an_empty_list() {
+        assert!(partitions(&chain(), 0).is_empty());
     }
 
     #[test]
     #[should_panic(expected = "number of intervals must be within")]
     fn too_many_intervals_panics() {
-        heur_p_partition(&oracle(&chain()), 6);
+        partitions(&chain(), 6);
     }
 }

@@ -19,8 +19,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::alloc::algo_alloc;
 use crate::alloc_het::algo_alloc_heterogeneous;
-use crate::heur_l::heur_l_partition;
-use crate::heur_p::heur_p_partition;
+use crate::heur_l::heur_l_partitions;
+use crate::heur_p::heur_p_partitions;
 use crate::{AlgoError, Result};
 
 /// Which interval-computation heuristic to use.
@@ -91,21 +91,19 @@ pub fn run_heuristic(
         return Err(AlgoError::InvalidBound("latency bound"));
     }
 
-    let n = oracle.len();
-    let p = oracle.num_processors();
+    let max_intervals = oracle.len().min(oracle.num_processors());
+    let partitions = match config.interval_heuristic {
+        IntervalHeuristic::MinLatency => heur_l_partitions(oracle, max_intervals),
+        IntervalHeuristic::MinPeriod => heur_p_partitions(oracle, max_intervals),
+    };
     let homogeneous = oracle.is_homogeneous();
 
     let mut best: Option<HeuristicSolution> = None;
-    for num_intervals in 1..=n.min(p) {
-        let partition = match config.interval_heuristic {
-            IntervalHeuristic::MinLatency => heur_l_partition(oracle, num_intervals),
-            IntervalHeuristic::MinPeriod => heur_p_partition(oracle, num_intervals),
-        };
-
+    for (partition, num_intervals) in partitions.iter().zip(1..) {
         let mapping = if homogeneous {
-            algo_alloc(oracle, chain, platform, &partition)
+            algo_alloc(oracle, chain, platform, partition)
         } else {
-            algo_alloc_heterogeneous(oracle, chain, platform, &partition, config.period_bound)
+            algo_alloc_heterogeneous(oracle, chain, platform, partition, config.period_bound)
         };
         let Ok(mapping) = mapping else { continue };
 

@@ -7,7 +7,9 @@
 //!   * [`algo1`] — Algorithms 1 and 2: reliability optimization by dynamic
 //!     programming (`O(n² p K)`), without or under a period bound;
 //!   * [`period_opt`] — the converse problem (minimal period under a
-//!     reliability bound) by binary search over candidate periods;
+//!     reliability bound): a greedy feasibility search over the candidate
+//!     periods and one Algorithm 2 run, with the paper's binary search as
+//!     fallback;
 //!   * [`alloc`] — Algo-Alloc (Theorem 4): optimal greedy allocation of
 //!     processors to a fixed interval partition;
 //!   * [`batch_kernel`] — the batched SoA mega-kernel: the Algorithm 1/2
@@ -31,7 +33,7 @@
 //!   * [`heur_l`] — Algorithm 3: intervals cut at the smallest communication
 //!     costs (latency-oriented);
 //!   * [`heur_p`] — Algorithm 4: work-balanced intervals by dynamic
-//!     programming (period-oriented);
+//!     programming, every interval count from one table (period-oriented);
 //!   * [`heuristic`] — the complete two-step heuristics used in the
 //!     experiments (interval computation for every possible interval count,
 //!     then allocation, then feasibility filtering).
@@ -86,8 +88,8 @@ pub use alloc::{algo_alloc, exhaustive_alloc};
 pub use alloc_het::algo_alloc_heterogeneous;
 pub use batch_kernel::{solve_batch, BatchLane, BatchScratch};
 pub use energy_aware::{run_energy_aware_heuristic, EnergyAwareConfig, EnergyAwareSolution};
-pub use heur_l::heur_l_partition;
-pub use heur_p::heur_p_partition;
+pub use heur_l::heur_l_partitions;
+pub use heur_p::heur_p_partitions;
 pub use heuristic::{run_heuristic, HeuristicConfig, HeuristicSolution, IntervalHeuristic};
 pub use period_opt::{minimize_period, repair_minimize_period};
 

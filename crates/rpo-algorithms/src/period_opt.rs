@@ -5,11 +5,24 @@
 //! suffices to binary-search the period and repeatedly run Algorithm 2. The
 //! worst-case period of any mapping is one of finitely many candidate values
 //! (an interval computation time `W(i..j)/s` or a communication time
-//! `o_i / b`), so the search is performed over that sorted candidate set and
+//! `o_i / b`), so the search runs over that sorted candidate set and
 //! returns a certified optimum.
+//!
+//! [`minimize_period`] mostly skips that search. Whether *some* partition
+//! fits a period at all is a chains-on-chains question (Pinar & Aykanat,
+//! JPDC 64(8), 2004) that a greedy left-to-right partition answers in
+//! `O(n)`, with Algorithm 2's own admissibility comparisons. Selecting on
+//! the unsorted candidates finds the smallest one that fits; one Algorithm
+//! 2 run at the candidate the binary search would answer then gives the
+//! mapping. Every candidate below it cannot fit, so no mapping there meets
+//! any reliability bound, and the answer is the binary search's, bit for
+//! bit. Inputs outside that argument (non-positive works, a non-finite
+//! speed or candidate), or an Algorithm 2 run that misses the bound, take
+//! the binary search.
 
 use rpo_model::{IntervalOracle, Mapping, Platform, TaskChain};
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 
 use crate::algo1::{optimize_reliability, DpScratch, OptimalMapping};
 use crate::{AlgoError, Result};
@@ -30,15 +43,19 @@ pub struct PeriodOptimal {
 /// instances whose periods are themselves tiny).
 const CANDIDATE_REL_TOL: f64 = 1e-12;
 
-/// Every value the worst-case period of a mapping can take: computation times
-/// of all intervals and all boundary communication times, read from the
-/// oracle's prefix sums.
+/// Relative width of the neighbourhood above the smallest fitting candidate
+/// that [`run_representative`] sorts to find the end of its merged run.
+const NEIGHBOURHOOD_REL: f64 = 1e3 * CANDIDATE_REL_TOL;
+
+/// Every value the worst-case period of a mapping can take, unsorted:
+/// computation times of all intervals and all boundary communication times,
+/// read from the oracle's prefix sums.
 ///
 /// Candidates strictly below the largest single-task computation time are
 /// pruned: every task belongs to some interval, so the interval holding the
 /// biggest task forces `period ≥ max_i w_i / s` on every mapping — probing
 /// below that can never be feasible.
-fn candidate_periods(oracle: &IntervalOracle, speed: f64) -> Vec<f64> {
+fn raw_candidates(oracle: &IntervalOracle, speed: f64) -> Vec<f64> {
     let n = oracle.len();
     let min_achievable = (0..n)
         .map(|i| oracle.work(i, i) / speed)
@@ -53,13 +70,26 @@ fn candidate_periods(oracle: &IntervalOracle, speed: f64) -> Vec<f64> {
         candidates.push(oracle.output_comm_time(i));
     }
     candidates.retain(|&c| c >= min_achievable * (1.0 - CANDIDATE_REL_TOL));
+    candidates
+}
+
+/// Whether the binary search's dedup merges candidate `next` into the run
+/// whose largest member so far is `top` (`next ≥ top` in sorted order).
+fn merges(top: f64, next: f64) -> bool {
+    (next - top).abs() <= CANDIDATE_REL_TOL * next.abs().max(top.abs())
+}
+
+/// The sorted candidate ladder the binary search runs over: the raw
+/// candidates, sorted, with near-equal runs merged.
+fn candidate_periods(oracle: &IntervalOracle, speed: f64) -> Vec<f64> {
+    let mut candidates = raw_candidates(oracle, speed);
     candidates.sort_by(|a, b| a.partial_cmp(b).expect("finite candidate periods"));
     // Merged near-equal candidates keep the *largest* member as their
     // representative: probing the representative then admits every interval
     // whose true requirement sits an ulp above the smaller members (rounding
     // of the prefix sums makes mathematically equal works differ by ulps).
     candidates.dedup_by(|a, b| {
-        if (*a - *b).abs() <= CANDIDATE_REL_TOL * a.abs().max(b.abs()) {
+        if merges(*b, *a) {
             *b = b.max(*a);
             true
         } else {
@@ -81,14 +111,21 @@ fn checked_candidates(
     if !oracle.is_homogeneous() {
         return Err(AlgoError::HeterogeneousPlatform);
     }
-    if !(reliability_bound.is_finite() && reliability_bound > 0.0 && reliability_bound <= 1.0) {
+    if !valid_reliability_bound(reliability_bound) {
         return Err(AlgoError::InvalidBound("reliability bound"));
     }
     Ok(candidate_periods(oracle, platform.speed(0)))
 }
 
-/// One counted search probe: the Algorithm 2 mapping at `period`, if it
-/// reaches the reliability bound.
+fn valid_reliability_bound(bound: f64) -> bool {
+    bound.is_finite() && bound > 0.0 && bound <= 1.0
+}
+
+/// One Algorithm 2 run at a candidate `period`: the optimal mapping, if it
+/// reaches the reliability bound. Each run counts one `period_opt.probes`:
+/// the fast path of [`minimize_period`] makes one, the binary search and
+/// the repair gallop one per candidate they test (the binary search's
+/// opening run at the largest candidate is not counted).
 fn probe(
     oracle: &IntervalOracle,
     chain: &TaskChain,
@@ -106,8 +143,10 @@ fn probe(
 /// Minimizes the worst-case period of a mapping whose reliability is at least
 /// `reliability_bound`, on a fully homogeneous platform.
 ///
-/// The whole binary search (one Algorithm 2 run per probe) shares the
-/// oracle and runs against `scratch`: the DP arenas are allocated once and
+/// The answer is the binary search's over the sorted candidate ladder (see
+/// the [module docs](self)), usually reached by a greedy feasibility
+/// search and a single Algorithm 2 run. The runs share the oracle and
+/// `scratch`: the DP arenas are allocated once and, in the binary search,
 /// the previous probe's admissible-interval set (`in_ok` boundary flags and
 /// per-row work-prefix cuts) seeds the next probe's admissibility
 /// derivation. Batch callers (the portfolio engine's scratch pool) reuse
@@ -120,6 +159,164 @@ fn probe(
 /// * [`AlgoError::NoFeasibleMapping`] if even the unconstrained optimum of
 ///   Algorithm 1 does not reach the reliability bound.
 pub fn minimize_period(
+    oracle: &IntervalOracle,
+    chain: &TaskChain,
+    platform: &Platform,
+    reliability_bound: f64,
+    scratch: &mut DpScratch,
+) -> Result<PeriodOptimal> {
+    crate::debug_assert_oracle_matches(oracle, chain, platform);
+    if oracle.is_homogeneous() && valid_reliability_bound(reliability_bound) {
+        if let Some(optimum) = probed_optimum(oracle, chain, platform, reliability_bound, scratch) {
+            return Ok(optimum);
+        }
+    }
+    binary_search_period(oracle, chain, platform, reliability_bound, scratch)
+}
+
+/// The fast path of [`minimize_period`]: the smallest candidate a greedy
+/// partition fits, the representative of its merged run, and one Algorithm
+/// 2 run there. `None` sends the caller to the binary search: when the
+/// greedy argument does not hold for this input, when no candidate fits,
+/// when the run reaches past the examined neighbourhood, or when Algorithm
+/// 2 does not meet the bound at the representative.
+fn probed_optimum(
+    oracle: &IntervalOracle,
+    chain: &TaskChain,
+    platform: &Platform,
+    reliability_bound: f64,
+    scratch: &mut DpScratch,
+) -> Option<PeriodOptimal> {
+    let speed = platform.speed(0);
+    let work_prefix = oracle.work_prefix();
+    // The greedy is exact when interval works grow with the interval: a
+    // finite, strictly increasing work prefix (every work > 0).
+    let monotone = !oracle.is_empty()
+        && work_prefix.iter().all(|w| w.is_finite())
+        && work_prefix.windows(2).all(|pair| pair[0] < pair[1]);
+    if !(monotone && speed.is_finite() && speed > 0.0) {
+        return None;
+    }
+    let mut candidates = raw_candidates(oracle, speed);
+    // The binary search opens with an Algorithm 2 run at the largest
+    // candidate, which rejects a non-finite period bound.
+    if !candidates.iter().all(|c| c.is_finite()) {
+        return None;
+    }
+    let smallest = smallest_fitting(&mut candidates, |period| {
+        partition_fits(oracle, speed, period)
+    })?;
+    let period = run_representative(&mut candidates, smallest)?;
+    let solution = probe(oracle, chain, platform, reliability_bound, period, scratch)?;
+    Some(PeriodOptimal {
+        period,
+        mapping: solution.mapping,
+        reliability: solution.reliability,
+    })
+}
+
+/// Whether some partition of the chain into at most `p` intervals meets
+/// `period`, by Algorithm 2's own comparisons: an interval `j ..= e` fits
+/// when `work(j, e) / speed` is not above the period, its start when
+/// `input_comm_time(j)` is at most the period, and its end when
+/// `output_comm_time(e)` is not above it. A cut after task `e` ends one
+/// interval and starts the next, whose `input_comm_time(e + 1)` is
+/// `output_comm_time(e)`: it fits when that time is at most the period.
+///
+/// The greedy takes each interval as far as its work allows and cuts at
+/// the last fitting boundary in it. With interval works growing in both
+/// directions, no partition gets further in as many intervals, so the
+/// greedy needs the fewest. Each task is scanned at most twice.
+fn partition_fits(oracle: &IntervalOracle, speed: f64, period: f64) -> bool {
+    let not_above = |time: f64| time.partial_cmp(&period) != Some(Ordering::Greater);
+    let cut_fits = |last: usize| oracle.output_comm_time(last) <= period;
+    let n = oracle.len();
+    let first_fits = oracle.input_comm_time(0) <= period;
+    if !first_fits || !not_above(oracle.output_comm_time(n - 1)) {
+        return false;
+    }
+    // Tasks `start..end` fit in the current interval by work; the tasks in
+    // `start..scanned` were already rejected as cut points.
+    let (mut start, mut end) = (0, 0);
+    for _ in 0..oracle.num_processors() {
+        let scanned = end.max(start);
+        end = scanned;
+        while end < n && not_above(oracle.work(start, end) / speed) {
+            end += 1;
+        }
+        if end == n {
+            return true;
+        }
+        let mut cut = end;
+        while cut > scanned && !cut_fits(cut - 1) {
+            cut -= 1;
+        }
+        if cut == scanned {
+            return false;
+        }
+        start = cut;
+    }
+    false
+}
+
+/// The smallest of `candidates` that `fits`, for a `fits` monotone in the
+/// period: a binary search by selection on the unsorted slice, which
+/// leaves it permuted. Expected `O(len)` time, and `O(log len)` calls to
+/// `fits`.
+fn smallest_fitting(candidates: &mut [f64], fits: impl Fn(f64) -> bool) -> Option<f64> {
+    let mut rest = candidates;
+    let mut smallest = None;
+    while !rest.is_empty() {
+        let mid = rest.len() / 2;
+        let (below, pivot, above) =
+            std::mem::take(&mut rest).select_nth_unstable_by(mid, f64::total_cmp);
+        if fits(*pivot) {
+            smallest = Some(*pivot);
+            rest = below;
+        } else {
+            rest = above;
+        }
+    }
+    smallest
+}
+
+/// The representative the binary search's ladder keeps for the merged run
+/// holding `smallest`: its largest member. The dedup chains consecutive
+/// sorted candidates within [`CANDIDATE_REL_TOL`], so the run's top is
+/// found by walking up from `smallest` through the candidates just above
+/// it. Those within [`NEIGHBOURHOOD_REL`] are moved to the front of
+/// `candidates` and sorted; `None` if the run would continue past them.
+fn run_representative(candidates: &mut [f64], smallest: f64) -> Option<f64> {
+    let edge = smallest * (1.0 + NEIGHBOURHOOD_REL);
+    let mut near = 0;
+    let mut beyond: Option<f64> = None;
+    for i in 0..candidates.len() {
+        let candidate = candidates[i];
+        if candidate > edge {
+            beyond = Some(beyond.map_or(candidate, |b| b.min(candidate)));
+        } else if candidate >= smallest {
+            candidates.swap(i, near);
+            near += 1;
+        }
+    }
+    let near = &mut candidates[..near];
+    near.sort_unstable_by(f64::total_cmp);
+    let mut top = smallest;
+    for &next in near.iter() {
+        if !merges(top, next) {
+            return Some(top);
+        }
+        top = next;
+    }
+    match beyond {
+        Some(next) if merges(top, next) => None,
+        _ => Some(top),
+    }
+}
+
+/// The binary search of Section 5.2 over the sorted candidate ladder, one
+/// Algorithm 2 run per probe.
+fn binary_search_period(
     oracle: &IntervalOracle,
     chain: &TaskChain,
     platform: &Platform,

@@ -9,7 +9,7 @@
 //! * the exhaustive exact solver vs the branch-and-bound ILP.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rpo_algorithms::{algo_alloc, exact, exhaustive_alloc, heur_p_partition};
+use rpo_algorithms::{algo_alloc, exact, exhaustive_alloc, heur_p_partitions};
 use rpo_bench::{bench_chain, bench_hom_platform, bench_noisy_platform};
 use rpo_model::IntervalOracle;
 use rpo_rbd::{exact as rbd_exact, mapping_rbd};
@@ -26,7 +26,7 @@ fn rbd_routing_vs_exact(c: &mut Criterion) {
         // exact evaluator's 30-block limit (3·replicas + 2·replicas² blocks).
         let platform = bench_noisy_platform(3 * replicas);
         let oracle = IntervalOracle::new(&chain, &platform);
-        let partition = heur_p_partition(&oracle, 3);
+        let partition = heur_p_partitions(&oracle, 3).remove(2);
         let mapping =
             algo_alloc(&oracle, &chain, &platform, &partition).expect("enough processors");
         group.bench_with_input(
@@ -64,7 +64,7 @@ fn rbd_routing_vs_exact(c: &mut Criterion) {
 fn alloc_greedy_vs_exhaustive(c: &mut Criterion) {
     let chain = bench_chain(12, 5);
     let platform = bench_hom_platform(10);
-    let partition = heur_p_partition(&IntervalOracle::new(&chain, &platform), 5);
+    let partition = heur_p_partitions(&IntervalOracle::new(&chain, &platform), 5).remove(4);
     let mut group = c.benchmark_group("ablation_allocation");
     group.bench_function("algo_alloc_greedy", |b| {
         b.iter(|| {

@@ -3,7 +3,7 @@
 //! partition-profile precomputation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rpo_algorithms::{algo_alloc, heur_p_partition};
+use rpo_algorithms::{algo_alloc, heur_p_partitions};
 use rpo_bench::{bench_chain, bench_hom_platform};
 use rpo_model::{reliability, IntervalOracle, MappingEvaluation};
 use rpo_rbd::mapping_rbd;
@@ -13,7 +13,7 @@ fn evaluation(c: &mut Criterion) {
     let chain = bench_chain(15, 7);
     let platform = bench_hom_platform(10);
     let oracle = IntervalOracle::new(&chain, &platform);
-    let partition = heur_p_partition(&oracle, 5);
+    let partition = heur_p_partitions(&oracle, 5).remove(4);
     let mapping = algo_alloc(&oracle, &chain, &platform, &partition).expect("enough processors");
 
     let mut group = c.benchmark_group("evaluation");

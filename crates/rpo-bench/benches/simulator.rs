@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rpo_algorithms::{algo_alloc, heur_p_partition};
+use rpo_algorithms::{algo_alloc, heur_p_partitions};
 use rpo_bench::{bench_chain, bench_noisy_platform};
 use rpo_model::IntervalOracle;
 use rpo_sim::{monte_carlo, simulate_dataset, simulate_pipeline, MonteCarloConfig, PipelineConfig};
@@ -15,7 +15,7 @@ fn dataset_injection(c: &mut Criterion) {
     let chain = bench_chain(15, 7);
     let platform = bench_noisy_platform(10);
     let oracle = IntervalOracle::new(&chain, &platform);
-    let partition = heur_p_partition(&oracle, 5);
+    let partition = heur_p_partitions(&oracle, 5).remove(4);
     let mapping = algo_alloc(&oracle, &chain, &platform, &partition).expect("enough processors");
 
     let mut group = c.benchmark_group("simulator_dataset");
@@ -38,7 +38,7 @@ fn monte_carlo_batches(c: &mut Criterion) {
     let chain = bench_chain(15, 7);
     let platform = bench_noisy_platform(10);
     let oracle = IntervalOracle::new(&chain, &platform);
-    let partition = heur_p_partition(&oracle, 5);
+    let partition = heur_p_partitions(&oracle, 5).remove(4);
     let mapping = algo_alloc(&oracle, &chain, &platform, &partition).expect("enough processors");
 
     let mut group = c.benchmark_group("simulator_monte_carlo");
@@ -71,7 +71,7 @@ fn pipelined_des(c: &mut Criterion) {
     let chain = bench_chain(15, 7);
     let platform = bench_noisy_platform(10);
     let oracle = IntervalOracle::new(&chain, &platform);
-    let partition = heur_p_partition(&oracle, 5);
+    let partition = heur_p_partitions(&oracle, 5).remove(4);
     let mapping = algo_alloc(&oracle, &chain, &platform, &partition).expect("enough processors");
 
     let mut group = c.benchmark_group("simulator_pipeline");

@@ -293,6 +293,13 @@ fn run_repair(count: usize, obs: &ObsArgs) -> Result<String, String> {
 /// Responses stream to stdout; the drain summary goes to stderr so stdout
 /// holds nothing but response lines.
 fn run_serve(obs: &ObsArgs) -> Result<(), String> {
+    // Only `--trace` and `--collapse` read the span ring, after the service
+    // stops. Without them, recording every request's spans would only pin
+    // the full ring in memory and cost each span its lock; the counters and
+    // histograms stay on.
+    if obs.trace.is_none() && obs.collapse.is_none() {
+        rpo_obs::recorder().set_enabled(false);
+    }
     let engine = Arc::new(PortfolioEngine::default().with_threads(1));
     let mut config = ServeConfig::default();
     if let Some(workers) = obs.workers {

@@ -12,20 +12,24 @@
 //!
 //! # Overhead contract
 //!
-//! Opening a span checks [`crate::Registry::enabled`] — one relaxed atomic
-//! load — and, when disabled (or without the `obs` feature), returns an
+//! Opening a span checks [`crate::Registry::enabled`] and the recorder's
+//! own switch ([`SpanRecorder::set_enabled`]) — two relaxed atomic loads —
+//! and, when either is off (or without the `obs` feature), returns an
 //! inert guard whose drop is a no-op: no allocation, no clock read, no
 //! lock. Field construction in the [`crate::span!`] macro is lazy and is
-//! skipped entirely on the disabled path. Enabled spans take the ring
-//! mutex once, at drop.
+//! skipped entirely on the disabled path. An enabled span allocates
+//! nothing beyond its own fields: its path is interned per thread when it
+//! opens, its `span.<name>` histogram is resolved once per thread, and the
+//! ring keeps a compact record that becomes a [`SpanRecord`] only on
+//! export. Enabled spans take the ring mutex once, at drop.
 
-use crate::registry::{MetricsSnapshot, Registry};
+use crate::registry::{Histogram, MetricsSnapshot, Registry};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -115,8 +119,17 @@ pub struct SpanRecord {
 
 struct Frame {
     name: &'static str,
+    /// The span's interned ancestry, its own name last.
+    path: Arc<str>,
     /// Nanoseconds attributed to already-finished child spans.
     child_nanos: u64,
+}
+
+/// Identifies a `&'static str` span name by address and length.
+type NameKey = (usize, usize);
+
+fn name_key(name: &'static str) -> NameKey {
+    (name.as_ptr() as usize, name.len())
 }
 
 thread_local! {
@@ -125,15 +138,68 @@ thread_local! {
         static NEXT: AtomicU64 = AtomicU64::new(0);
         NEXT.fetch_add(1, Ordering::Relaxed)
     };
+    /// Interned span paths, keyed by the parent path's address (0 for a
+    /// root span) and the span name. The table keeps every path alive, so
+    /// an address names one path for the life of the thread.
+    static PATHS: RefCell<HashMap<(usize, NameKey), Arc<str>>> = RefCell::new(HashMap::new());
+    /// `span.<name>` histogram handles, keyed by recorder id and span name.
+    static SPAN_HISTOGRAMS: RefCell<HashMap<(u64, NameKey), Histogram>> =
+        RefCell::new(HashMap::new());
+}
+
+/// The interned path of a span named `name` opened under `parent`.
+fn interned_path(parent: Option<&Arc<str>>, name: &'static str) -> Arc<str> {
+    let parent_key = parent.map_or(0, |path| Arc::as_ptr(path) as *const u8 as usize);
+    PATHS.with(|paths| {
+        Arc::clone(
+            paths
+                .borrow_mut()
+                .entry((parent_key, name_key(name)))
+                .or_insert_with(|| match parent {
+                    Some(parent) => format!("{parent};{name}").into(),
+                    None => name.into(),
+                }),
+        )
+    })
+}
+
+/// A finished span as the ring holds it; [`SpanRecorder::records`] and the
+/// exports turn it into a [`SpanRecord`].
+struct RingRecord {
+    name: &'static str,
+    path: Arc<str>,
+    thread: u64,
+    start_nanos: u64,
+    duration_nanos: u64,
+    self_nanos: u64,
+    fields: Vec<(String, FieldValue)>,
+}
+
+impl RingRecord {
+    fn to_record(&self) -> SpanRecord {
+        SpanRecord {
+            name: self.name.to_string(),
+            path: self.path.to_string(),
+            thread: self.thread,
+            start_nanos: self.start_nanos,
+            duration_nanos: self.duration_nanos,
+            self_nanos: self.self_nanos,
+            fields: self.fields.clone(),
+        }
+    }
 }
 
 struct RecorderInner {
-    ring: VecDeque<SpanRecord>,
+    ring: VecDeque<RingRecord>,
     dropped: u64,
 }
 
 struct RecorderCore {
+    /// Process-unique id keying the thread-local histogram handles.
+    id: u64,
     registry: Registry,
+    /// This recorder's own switch, on top of the registry's toggle.
+    spans: AtomicBool,
     capacity: usize,
     epoch: Instant,
     inner: Mutex<RecorderInner>,
@@ -153,9 +219,12 @@ impl SpanRecorder {
     /// finished spans — older spans are dropped, counted by
     /// [`SpanRecorder::dropped`].
     pub fn new(registry: Registry, capacity: usize) -> Self {
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
         SpanRecorder {
             core: Arc::new(RecorderCore {
+                id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
                 registry,
+                spans: AtomicBool::new(true),
                 capacity: capacity.max(1),
                 epoch: Instant::now(),
                 inner: Mutex::new(RecorderInner {
@@ -172,11 +241,18 @@ impl SpanRecorder {
         GLOBAL.get_or_init(|| SpanRecorder::new(Registry::global().clone(), DEFAULT_RING_CAPACITY))
     }
 
-    /// Whether spans are live (defers to the registry's feature + runtime
-    /// toggle).
+    /// Whether spans are live: the registry's feature and runtime toggle,
+    /// and this recorder's own switch.
     #[inline]
     pub fn enabled(&self) -> bool {
-        self.core.registry.enabled()
+        self.core.registry.enabled() && self.core.spans.load(Ordering::Relaxed)
+    }
+
+    /// Switches span recording on or off for this recorder only. The
+    /// registry's counters, gauges and histograms keep recording; switched
+    /// off, spans record nothing, not even their `span.<name>` samples.
+    pub fn set_enabled(&self, on: bool) {
+        self.core.spans.store(on, Ordering::Relaxed);
     }
 
     /// Opens a span. When disabled this returns an inert guard: no clock
@@ -197,8 +273,11 @@ impl SpanRecorder {
             return SpanGuard { live: None };
         }
         SPAN_STACK.with(|stack| {
-            stack.borrow_mut().push(Frame {
+            let mut stack = stack.borrow_mut();
+            let path = interned_path(stack.last().map(|frame| &frame.path), name);
+            stack.push(Frame {
                 name,
+                path,
                 child_nanos: 0,
             });
         });
@@ -217,26 +296,22 @@ impl SpanRecorder {
         let (path, self_nanos) = SPAN_STACK.with(|stack| {
             let mut stack = stack.borrow_mut();
             // The guard's own frame is on top unless the guard migrated
-            // threads; in that case fall back to flat attribution.
-            let child_nanos = match stack.last() {
+            // threads; in that case fall back to flat attribution under
+            // whatever this thread has open.
+            let (path, child_nanos) = match stack.last() {
                 Some(frame) if std::ptr::eq(frame.name, name) => {
-                    stack.pop().expect("top").child_nanos
+                    let frame = stack.pop().expect("top");
+                    (frame.path, frame.child_nanos)
                 }
-                _ => 0,
+                top => (interned_path(top.map(|frame| &frame.path), name), 0),
             };
             if let Some(parent) = stack.last_mut() {
                 parent.child_nanos = parent.child_nanos.saturating_add(duration);
             }
-            let mut path = String::new();
-            for frame in stack.iter() {
-                path.push_str(frame.name);
-                path.push(';');
-            }
-            path.push_str(name);
             (path, duration.saturating_sub(child_nanos))
         });
-        let record = SpanRecord {
-            name: name.to_string(),
+        let record = RingRecord {
+            name,
             path,
             thread: THREAD_ORDINAL.with(|t| *t),
             start_nanos: start
@@ -247,10 +322,13 @@ impl SpanRecorder {
             self_nanos,
             fields,
         };
-        self.core
-            .registry
-            .histogram(&format!("span.{name}"))
-            .record_nanos(duration);
+        SPAN_HISTOGRAMS.with(|histograms| {
+            histograms
+                .borrow_mut()
+                .entry((self.core.id, name_key(name)))
+                .or_insert_with(|| self.core.registry.histogram(&format!("span.{name}")))
+                .record_nanos(duration);
+        });
         let mut inner = self.core.inner.lock().expect("span ring lock poisoned");
         if inner.ring.len() == self.core.capacity {
             inner.ring.pop_front();
@@ -262,7 +340,7 @@ impl SpanRecorder {
     /// A copy of the buffered spans, oldest first.
     pub fn records(&self) -> Vec<SpanRecord> {
         let inner = self.core.inner.lock().expect("span ring lock poisoned");
-        inner.ring.iter().cloned().collect()
+        inner.ring.iter().map(RingRecord::to_record).collect()
     }
 
     /// Spans evicted from the ring because it was full.
@@ -316,13 +394,14 @@ impl SpanRecorder {
     /// span path (self time summed), sorted by path — the input format of
     /// `flamegraph.pl` and `inferno-flamegraph`.
     pub fn collapsed_stacks(&self) -> String {
-        let mut by_path: BTreeMap<String, u64> = BTreeMap::new();
-        for record in self.records() {
-            *by_path.entry(record.path).or_insert(0) += record.self_nanos;
+        let inner = self.core.inner.lock().expect("span ring lock poisoned");
+        let mut by_path: BTreeMap<&str, u64> = BTreeMap::new();
+        for record in &inner.ring {
+            *by_path.entry(&record.path).or_insert(0) += record.self_nanos;
         }
         let mut out = String::new();
         for (path, nanos) in by_path {
-            out.push_str(&path);
+            out.push_str(path);
             out.push(' ');
             out.push_str(&nanos.to_string());
             out.push('\n');
@@ -461,6 +540,55 @@ mod tests {
             let _span = recorder.span("loud");
         }
         assert_eq!(recorder.records()[0].path, "loud");
+    }
+
+    #[test]
+    fn switched_off_spans_record_nothing_while_metrics_count() {
+        let registry = Registry::new();
+        let recorder = SpanRecorder::new(registry.clone(), 16);
+        recorder.set_enabled(false);
+        assert!(!recorder.enabled());
+        assert!(registry.enabled(), "the registry keeps recording");
+        let mut fields_built = false;
+        {
+            let _span = recorder.span_fields("quiet", || {
+                fields_built = true;
+                vec![("k".to_string(), FieldValue::Bool(true))]
+            });
+            registry.counter("work.done").add(2);
+        }
+        assert!(!fields_built, "fields must not be built when switched off");
+        assert!(recorder.is_empty());
+        let metrics = recorder.metrics();
+        assert!(metrics.histogram("span.quiet").is_none());
+        assert_eq!(metrics.counter_value("work.done"), Some(2));
+        // Switched back on, spans record from a balanced stack.
+        recorder.set_enabled(true);
+        {
+            let _span = recorder.span("loud");
+        }
+        assert_eq!(recorder.records()[0].path, "loud");
+        assert_eq!(recorder.metrics().histogram("span.loud").unwrap().count, 1);
+    }
+
+    #[test]
+    fn paths_and_histograms_are_per_recorder_and_per_parent() {
+        let (first, second) = (recorder(16), recorder(16));
+        for recorder in [&first, &second] {
+            let _outer = recorder.span("outer");
+            {
+                let _inner = recorder.span("inner");
+            }
+            let _again = recorder.span("inner");
+        }
+        {
+            let _inner = first.span("inner");
+        }
+        let paths: Vec<String> = first.records().into_iter().map(|r| r.path).collect();
+        assert_eq!(paths, ["outer;inner", "outer;inner", "outer", "inner"]);
+        assert_eq!(first.metrics().histogram("span.inner").unwrap().count, 3);
+        assert_eq!(second.metrics().histogram("span.inner").unwrap().count, 2);
+        assert_eq!(second.metrics().histogram("span.outer").unwrap().count, 1);
     }
 
     #[test]

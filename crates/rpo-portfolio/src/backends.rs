@@ -26,7 +26,7 @@ use crate::backend::{
 };
 use rpo_algorithms::{
     algo_alloc, algo_alloc_heterogeneous, algo_het, algo_het_lat, exact, het_dp_applicable,
-    het_dp_applicable_platform, heur_l_partition, heur_p_partition, minimize_period,
+    het_dp_applicable_platform, heur_l_partitions, heur_p_partitions, minimize_period,
     optimize_reliability,
 };
 use rpo_model::{IntervalOracle, IntervalPartition};
@@ -184,7 +184,7 @@ impl SolverBackend for PeriodOptBackend {
 /// count instead of only the best-reliability one (richer Pareto fronts).
 pub struct HeuristicBackend {
     name: &'static str,
-    partition: fn(&IntervalOracle, usize) -> IntervalPartition,
+    partitions: fn(&IntervalOracle, usize) -> Vec<IntervalPartition>,
 }
 
 impl HeuristicBackend {
@@ -192,7 +192,7 @@ impl HeuristicBackend {
     pub fn heur_l() -> Self {
         HeuristicBackend {
             name: "Heur-L",
-            partition: heur_l_partition,
+            partitions: heur_l_partitions,
         }
     }
 
@@ -200,7 +200,7 @@ impl HeuristicBackend {
     pub fn heur_p() -> Self {
         HeuristicBackend {
             name: "Heur-P",
-            partition: heur_p_partition,
+            partitions: heur_p_partitions,
         }
     }
 }
@@ -226,8 +226,8 @@ impl SolverBackend for HeuristicBackend {
         let homogeneous = oracle.is_homogeneous();
 
         let mut candidates = Vec::new();
-        for num_intervals in 1..=chain.len().min(platform.num_processors()) {
-            let partition = (self.partition)(oracle, num_intervals);
+        let max_intervals = chain.len().min(platform.num_processors());
+        for partition in (self.partitions)(oracle, max_intervals) {
             let mapping = if homogeneous {
                 algo_alloc(oracle, chain, platform, &partition)
             } else {
@@ -424,14 +424,18 @@ impl SolverBackend for HetSweepBackend {
             1.0
         };
 
+        // The partitions do not depend on the period target: compute them
+        // once for the whole sweep.
+        let max_intervals = chain.len().min(platform.num_processors());
+        let heur_l = heur_l_partitions(oracle, max_intervals);
+        let heur_p = heur_p_partitions(oracle, max_intervals);
         let mut candidates = Vec::new();
         for step in 0..=steps {
             let target = lower * ratio.powi(step as i32);
-            for num_intervals in 1..=chain.len().min(platform.num_processors()) {
-                for partition_fn in [heur_l_partition, heur_p_partition] {
-                    let partition = partition_fn(oracle, num_intervals);
+            for (l, p) in heur_l.iter().zip(&heur_p) {
+                for partition in [l, p] {
                     if let Ok(mapping) =
-                        algo_alloc_heterogeneous(oracle, chain, platform, &partition, target)
+                        algo_alloc_heterogeneous(oracle, chain, platform, partition, target)
                     {
                         let candidate =
                             CandidateMapping::evaluate_with_oracle(self.name(), oracle, mapping);

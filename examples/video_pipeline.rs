@@ -12,7 +12,7 @@
 //! ```
 
 use pipelined_rt::algorithms::{
-    algo_alloc, heur_l_partition, heur_p_partition, run_heuristic, HeuristicConfig,
+    algo_alloc, heur_l_partitions, heur_p_partitions, run_heuristic, HeuristicConfig,
     IntervalHeuristic,
 };
 use pipelined_rt::model::{IntervalOracle, MappingEvaluation, Platform, TaskChain};
@@ -52,11 +52,14 @@ fn main() {
         "{:>10} {:>26} {:>26}",
         "intervals", "Heur-P (period / latency)", "Heur-L (period / latency)"
     );
-    for m in 1..=chain.len().min(platform.num_processors()) {
+    let max_intervals = chain.len().min(platform.num_processors());
+    let heur_p = heur_p_partitions(&oracle, max_intervals);
+    let heur_l = heur_l_partitions(&oracle, max_intervals);
+    for (m, (p, l)) in (1..).zip(heur_p.iter().zip(&heur_l)) {
         let mut cells = Vec::new();
-        for partition in [heur_p_partition(&oracle, m), heur_l_partition(&oracle, m)] {
+        for partition in [p, l] {
             let mapping =
-                algo_alloc(&oracle, &chain, &platform, &partition).expect("enough processors");
+                algo_alloc(&oracle, &chain, &platform, partition).expect("enough processors");
             let eval = MappingEvaluation::evaluate(&chain, &platform, &mapping);
             cells.push(format!(
                 "{:>10.1} / {:>10.1}",

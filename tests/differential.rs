@@ -9,19 +9,24 @@
 //! | `algo2` vs `ILP` | identical reliability and feasibility | small homogeneous, period-bounded |
 //! | analytic Eq. 9 vs Monte-Carlo (`rpo-sim`) | within 3σ of the binomial estimate | every returned mapping |
 //! | every default backend on one shared `DpScratch` (in order and reversed) vs a fresh scratch each | identical mappings, bit-identical reliabilities | homogeneous and class-structured, bounded and unbounded |
+//! | `heur_p_partitions` / `heur_l_partitions` vs the per-`m` Heur-P DP / Heur-L | identical partitions for every `m` | n ≤ 100, real, tied and ulp-close works, small and binding outputs |
+//! | `minimize_period` vs the binary search over the candidate ladder | identical period, mapping and reliability bits, or the same error | n ≤ 100, p = 1 to p ≥ n, K ∈ {1, 3}, speeds 0.7/1/3, bandwidth 0.1/1, four reliability bounds; zero and negative works |
 //!
 //! Reuses the ChaCha8 harness style of `tests/properties.rs`: each case is
 //! generated from its own seed, and a failing case re-panics with the seed
 //! that reproduces it (the dedicated CI step runs with `--nocapture`, so the
 //! seed lands in the log).
 
+use pipelined_rt::algorithms::period_opt::PeriodOptimal;
 use pipelined_rt::algorithms::{
     algo_het, algo_het_lat, exact, exhaustive_het_lat, greedy_het_lat, het_dp_applicable,
-    optimize_reliability, run_heuristic, AlgoError, DpScratch, HetLatMethod, HetLatSolution,
-    HeuristicConfig, IntervalHeuristic, OptimalMapping, Result,
+    heur_l_partitions, heur_p_partitions, minimize_period, optimize_reliability, run_heuristic,
+    AlgoError, DpScratch, HetLatMethod, HetLatSolution, HeuristicConfig, IntervalHeuristic,
+    OptimalMapping, Result,
 };
 use pipelined_rt::model::{
-    IntervalOracle, Mapping, MappingEvaluation, Platform, PlatformBuilder, Processor, TaskChain,
+    IntervalOracle, IntervalPartition, Mapping, MappingEvaluation, Platform, PlatformBuilder,
+    Processor, TaskChain,
 };
 use pipelined_rt::portfolio::{
     backends::HetDpLatBackend, default_backends, Budget, CandidateMapping, ProblemInstance,
@@ -567,4 +572,301 @@ fn one_scratch_shared_across_every_backend_matches_a_fresh_scratch_per_backend()
             }
         }
     });
+}
+
+/// The per-`m` Heur-P dynamic program that filled its own table for every
+/// interval count: the reference for the one-table
+/// [`heur_p_partitions`].
+fn reference_heur_p(oracle: &IntervalOracle, num_intervals: usize) -> IntervalPartition {
+    let n = oracle.len();
+    let interval_cost =
+        |first: usize, last: usize| oracle.work(first, last).max(oracle.output_size(last));
+    let mut f = vec![vec![f64::INFINITY; num_intervals + 1]; n + 1];
+    let mut pred = vec![vec![0usize; num_intervals + 1]; n + 1];
+    for (j, row) in f.iter_mut().enumerate().skip(1) {
+        row[1] = interval_cost(0, j - 1);
+    }
+    for k in 2..=num_intervals {
+        for j in k..=n {
+            for prev in (k - 1)..j {
+                let value = f[prev][k - 1].max(interval_cost(prev, j - 1));
+                if value < f[j][k] {
+                    f[j][k] = value;
+                    pred[j][k] = prev;
+                }
+            }
+        }
+    }
+    let mut cuts = Vec::with_capacity(num_intervals - 1);
+    let (mut j, mut k) = (n, num_intervals);
+    while k > 1 {
+        let prev = pred[j][k];
+        cuts.push(prev - 1);
+        j = prev;
+        k -= 1;
+    }
+    cuts.reverse();
+    IntervalPartition::from_cut_points(&cuts, n).unwrap()
+}
+
+/// Per-`m` Heur-L: cut after the `m − 1` cheapest boundaries, ties by
+/// position.
+fn reference_heur_l(oracle: &IntervalOracle, num_intervals: usize) -> IntervalPartition {
+    let n = oracle.len();
+    let mut candidates: Vec<usize> = (0..n - 1).collect();
+    candidates.sort_by(|&a, &b| {
+        oracle
+            .output_size(a)
+            .partial_cmp(&oracle.output_size(b))
+            .unwrap()
+            .then(a.cmp(&b))
+    });
+    let mut cuts: Vec<usize> = candidates.into_iter().take(num_intervals - 1).collect();
+    cuts.sort_unstable();
+    IntervalPartition::from_cut_points(&cuts, n).unwrap()
+}
+
+/// A chain for the partition and period pairs: `2..=max_tasks` tasks whose
+/// works are real, small integers (ties) or multiples of 0.1 (sums that
+/// differ by ulps), with outputs up to 10 or, where communication binds,
+/// up to 2 000.
+fn partition_chain(rng: &mut ChaCha8Rng, max_tasks: usize) -> TaskChain {
+    let n = rng.gen_range(2usize..=max_tasks);
+    let works = rng.gen_range(0u32..3);
+    let max_output = if rng.gen_bool(0.3) { 2000.0 } else { 10.0 };
+    let pairs: Vec<(f64, f64)> = (0..n)
+        .map(|_| {
+            let work = match works {
+                0 => rng.gen_range(1.0..100.0),
+                1 => f64::from(rng.gen_range(1u32..=5)),
+                _ => 0.1 * f64::from(rng.gen_range(1u32..=30)),
+            };
+            (work, rng.gen_range(0.0..max_output))
+        })
+        .collect();
+    TaskChain::from_pairs(&pairs).unwrap()
+}
+
+#[test]
+fn heur_p_and_heur_l_partitions_match_the_per_m_references() {
+    for_random_cases("all-m partitions == per-m references", 0xD1FF_6000, |rng| {
+        let chain = partition_chain(rng, 100);
+        let n = chain.len();
+        // The platform does not affect the partitions.
+        let platform = Platform::homogeneous(1, 1.0, 1e-3, 1.0, 1e-4, 1).unwrap();
+        let oracle = IntervalOracle::new(&chain, &platform);
+        let heur_p = heur_p_partitions(&oracle, n);
+        let heur_l = heur_l_partitions(&oracle, n);
+        assert_eq!((heur_p.len(), heur_l.len()), (n, n));
+        for m in 1..=n {
+            assert_eq!(
+                heur_p[m - 1],
+                reference_heur_p(&oracle, m),
+                "Heur-P, m = {m}"
+            );
+            assert_eq!(
+                heur_l[m - 1],
+                reference_heur_l(&oracle, m),
+                "Heur-L, m = {m}"
+            );
+        }
+        // A shorter sweep is a prefix of the full one.
+        let max_intervals = rng.gen_range(0..=n);
+        assert_eq!(
+            heur_p_partitions(&oracle, max_intervals),
+            heur_p[..max_intervals]
+        );
+        assert_eq!(
+            heur_l_partitions(&oracle, max_intervals),
+            heur_l[..max_intervals]
+        );
+    });
+}
+
+/// Section 5.2's binary search over the sorted, near-equal-merged
+/// candidate ladder, one Algorithm 2 run per probe: the reference for
+/// [`minimize_period`].
+fn reference_minimize_period(
+    oracle: &IntervalOracle,
+    chain: &TaskChain,
+    platform: &Platform,
+    reliability_bound: f64,
+) -> Result<PeriodOptimal> {
+    const TOL: f64 = 1e-12;
+    if !oracle.is_homogeneous() {
+        return Err(AlgoError::HeterogeneousPlatform);
+    }
+    if !(reliability_bound.is_finite() && reliability_bound > 0.0 && reliability_bound <= 1.0) {
+        return Err(AlgoError::InvalidBound("reliability bound"));
+    }
+    let n = oracle.len();
+    let speed = platform.speed(0);
+    let floor = (0..n)
+        .map(|i| oracle.work(i, i) / speed)
+        .fold(0.0, f64::max);
+    let mut ladder = Vec::new();
+    for first in 0..n {
+        for last in first..n {
+            ladder.push(oracle.work(first, last) / speed);
+        }
+    }
+    ladder.extend((0..n - 1).map(|i| oracle.output_comm_time(i)));
+    ladder.retain(|&c| c >= floor * (1.0 - TOL));
+    ladder.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    ladder.dedup_by(|a, b| {
+        if (*a - *b).abs() <= TOL * a.abs().max(b.abs()) {
+            *b = b.max(*a);
+            true
+        } else {
+            false
+        }
+    });
+
+    let mut scratch = DpScratch::new();
+    let mut algo2 =
+        |period: f64| optimize_reliability(oracle, chain, platform, Some(period), &mut scratch);
+    let mut best = algo2(*ladder.last().unwrap())?;
+    if best.reliability < reliability_bound {
+        return Err(AlgoError::NoFeasibleMapping);
+    }
+    let (mut lo, mut hi) = (0, ladder.len() - 1);
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        match algo2(ladder[mid]) {
+            Ok(solution) if solution.reliability >= reliability_bound => {
+                best = solution;
+                hi = mid;
+            }
+            _ => lo = mid + 1,
+        }
+    }
+    Ok(PeriodOptimal {
+        period: ladder[hi],
+        mapping: best.mapping,
+        reliability: best.reliability,
+    })
+}
+
+/// Asserts [`minimize_period`] answers exactly like the binary search:
+/// the same period, mapping and reliability bits, or the same error. With
+/// `panics_agree`, a call that panics passes when the other panics too
+/// (debug builds assert a sorted work prefix inside Algorithm 2).
+fn assert_period_opt_matches_the_binary_search(
+    chain: &TaskChain,
+    platform: &Platform,
+    panics_agree: bool,
+) {
+    let oracle = IntervalOracle::new(chain, platform);
+    for bound in [f64::MIN_POSITIVE, 0.5, 0.9, 0.999] {
+        let outcome = |solve: &dyn Fn() -> Result<PeriodOptimal>| {
+            if panics_agree {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(solve)).ok()
+            } else {
+                Some(solve())
+            }
+        };
+        let fast =
+            outcome(&|| minimize_period(&oracle, chain, platform, bound, &mut DpScratch::new()));
+        let reference = outcome(&|| reference_minimize_period(&oracle, chain, platform, bound));
+        match (&fast, &reference) {
+            (Some(Ok(fast)), Some(Ok(reference))) => {
+                assert_eq!(
+                    fast.period.to_bits(),
+                    reference.period.to_bits(),
+                    "bound {bound}: period {} vs {}",
+                    fast.period,
+                    reference.period
+                );
+                assert_eq!(fast.mapping, reference.mapping, "bound {bound}");
+                assert_eq!(
+                    fast.reliability.to_bits(),
+                    reference.reliability.to_bits(),
+                    "bound {bound}"
+                );
+            }
+            (Some(Err(fast)), Some(Err(reference))) => assert_eq!(fast, reference, "bound {bound}"),
+            (None, None) => {}
+            _ => panic!("bound {bound}: {fast:?} vs {reference:?}"),
+        }
+    }
+}
+
+#[test]
+fn minimize_period_matches_the_binary_search() {
+    for_random_cases("minimize_period == binary search", 0xD1FF_7000, |rng| {
+        // p = 1, p ≥ n, or in between; p ≥ n keeps n small so the
+        // reference's O(n² p K) probes stay quick.
+        let (chain, p) = match rng.gen_range(0u32..3) {
+            0 => (partition_chain(rng, 100), 1),
+            1 => {
+                let chain = partition_chain(rng, 24);
+                let p = chain.len() + rng.gen_range(0usize..3);
+                (chain, p)
+            }
+            _ => {
+                let chain = partition_chain(rng, 100);
+                let p = rng.gen_range(2usize..=chain.len().min(12));
+                (chain, p)
+            }
+        };
+        let speed = [0.7, 1.0, 3.0][rng.gen_range(0usize..3)];
+        let bandwidth = if rng.gen_bool(0.5) { 0.1 } else { 1.0 };
+        let platform = Platform::homogeneous(
+            p,
+            speed,
+            10f64.powf(rng.gen_range(-6.0..-3.0)),
+            bandwidth,
+            10f64.powf(rng.gen_range(-7.0..-4.0)),
+            [1, 3][rng.gen_range(0usize..2)],
+        )
+        .unwrap();
+        assert_period_opt_matches_the_binary_search(&chain, &platform, false);
+    });
+}
+
+/// A chain the model's constructor would reject (zero or negative works),
+/// built the way the service's deserializer accepts it: tasks plus the
+/// prefix sums of their works.
+fn unvalidated_chain(pairs: &[(f64, f64)]) -> TaskChain {
+    let tasks: Vec<String> = pairs
+        .iter()
+        .map(|(work, output)| format!(r#"{{"work":{work:?},"output_size":{output:?}}}"#))
+        .collect();
+    let mut prefix = vec![0.0f64];
+    for (work, _) in pairs {
+        prefix.push(prefix.last().unwrap() + work);
+    }
+    let prefix: Vec<String> = prefix.iter().map(|w| format!("{w:?}")).collect();
+    let json = format!(
+        r#"{{"tasks":[{}],"work_prefix":[{}]}}"#,
+        tasks.join(","),
+        prefix.join(",")
+    );
+    serde_json::from_str(&json).unwrap()
+}
+
+#[test]
+fn minimize_period_matches_the_binary_search_on_non_positive_works() {
+    let chains = [
+        vec![(30.0, 2.0), (0.0, 8.0), (25.0, 1.0), (40.0, 3.0)],
+        vec![(0.0, 1.0), (10.0, 1.0), (0.0, 1.0)],
+        vec![
+            (30.0, 2.0),
+            (-10.0, 8.0),
+            (25.0, 1.0),
+            (40.0, 3.0),
+            (5.0, 0.0),
+        ],
+        vec![(-5.0, 1.0), (20.0, 1.0), (20.0, 1.0)],
+        vec![(10.0, 1.0), (10.0, 1.0), (-25.0, 1.0), (10.0, 1.0)],
+    ];
+    for pairs in &chains {
+        let chain = unvalidated_chain(pairs);
+        for p in [1, 2, 3, 5] {
+            for k in [1, 3] {
+                let platform = Platform::homogeneous(p, 1.0, 1e-3, 1.0, 1e-4, k).unwrap();
+                assert_period_opt_matches_the_binary_search(&chain, &platform, true);
+            }
+        }
+    }
 }

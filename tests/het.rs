@@ -16,6 +16,7 @@ use pipelined_rt::model::{
     ClassAssignment, IntervalOracle, IntervalPartition, MappingEvaluation, Platform, Processor,
     TaskChain,
 };
+use pipelined_rt::portfolio::{BatchDriver, PortfolioEngine, ProblemInstance};
 use pipelined_rt::workload::InstanceGenerator;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -360,4 +361,43 @@ fn class_assignment_lowering_round_trips_through_oracle_evaluate() {
             .unwrap();
         assert_eq!(mapping, again);
     });
+}
+
+/// The census of the latency-bounded class-platform stream through the
+/// batch driver. It pins every Heur-L and Heur-P partition the heterogeneous
+/// backends use (Het-Sweep's and both class DPs' greedy incumbents), which
+/// the homogeneous CI census never runs.
+#[test]
+fn het_lat_stream_census_is_unchanged() {
+    let instances = InstanceGenerator::paper_het_lat_stream(1, 300).map(|bounded| {
+        ProblemInstance::new(
+            bounded.instance.chain,
+            bounded.instance.heterogeneous,
+            bounded.period_bound,
+            bounded.latency_bound,
+        )
+        .expect("the stream's bounds are positive")
+    });
+    let report = BatchDriver::new(1).run(&PortfolioEngine::default(), instances);
+    assert_eq!(report.instances, 300);
+    assert_eq!(report.feasible_instances, 298);
+    // (runs, wins, front points) per backend.
+    for (backend, census) in [
+        ("Het-Dp-Lat", (300, 151, 340)),
+        ("Het-Dp", (300, 147, 147)),
+        ("Het-Sweep", (300, 0, 239)),
+        ("Heur-L", (300, 0, 0)),
+        ("Heur-P", (300, 0, 0)),
+    ] {
+        let stats = report
+            .backend_stats
+            .iter()
+            .find(|stats| stats.backend == backend)
+            .unwrap_or_else(|| panic!("{backend} has no census row"));
+        assert_eq!(
+            (stats.runs, stats.wins, stats.front_points),
+            census,
+            "{backend}"
+        );
+    }
 }

@@ -7,7 +7,7 @@
 //! and failures report the case's seed for reproduction.
 
 use pipelined_rt::algorithms::{
-    algo_alloc, exhaustive_alloc, heur_l_partition, heur_p_partition, optimize_reliability,
+    algo_alloc, exhaustive_alloc, heur_l_partitions, heur_p_partitions, optimize_reliability,
     DpScratch,
 };
 use pipelined_rt::lp::{solve_lp, ConstraintOp, LpStatus, Objective, Problem};
@@ -224,15 +224,14 @@ fn interval_heuristics_produce_valid_partitions() {
     for_random_cases("interval_heuristics_produce_valid_partitions", |rng| {
         let chain = random_chain(rng);
         let n = chain.len();
-        let m = rng.gen_range(1usize..=n);
+        let max_intervals = rng.gen_range(1usize..=n);
         // The platform does not affect the partitions.
         let platform = Platform::homogeneous(1, 1.0, 1e-3, 1.0, 1e-4, 1).unwrap();
         let oracle = IntervalOracle::new(&chain, &platform);
-        let heur_l = heur_l_partition(&oracle, m);
-        let heur_p = heur_p_partition(&oracle, m);
-        assert_eq!(heur_l.len(), m);
-        assert_eq!(heur_p.len(), m);
-        assert_eq!(heur_l.chain_len(), n);
+        let all_l = heur_l_partitions(&oracle, max_intervals);
+        let all_p = heur_p_partitions(&oracle, max_intervals);
+        assert_eq!(all_l.len(), max_intervals);
+        assert_eq!(all_p.len(), max_intervals);
 
         let bottleneck = |partition: &IntervalPartition| {
             partition
@@ -241,12 +240,18 @@ fn interval_heuristics_produce_valid_partitions() {
                 .map(|itv| itv.work(&chain).max(itv.output_size(&chain)))
                 .fold(0.0f64, f64::max)
         };
-        assert!(bottleneck(&heur_p) <= bottleneck(&heur_l) + 1e-9);
+        for (m, (heur_l, heur_p)) in (1..).zip(all_l.iter().zip(&all_p)) {
+            assert_eq!(heur_l.len(), m);
+            assert_eq!(heur_p.len(), m);
+            assert_eq!(heur_l.chain_len(), n);
+            assert!(bottleneck(heur_p) <= bottleneck(heur_l) + 1e-9);
 
-        // Heur-L minimizes the total boundary communication by construction.
-        assert!(
-            heur_l.total_boundary_output(&chain) <= heur_p.total_boundary_output(&chain) + 1e-9
-        );
+            // Heur-L minimizes the total boundary communication by
+            // construction.
+            assert!(
+                heur_l.total_boundary_output(&chain) <= heur_p.total_boundary_output(&chain) + 1e-9
+            );
+        }
     });
 }
 
